@@ -6,8 +6,9 @@
 //! multi-byte `peek_bits` loop — together with the seed Huffman decoder and
 //! ZFP plane coder built on it. `bench_entropy` measures the production
 //! engine *against* this one, so the recorded speedups keep meaning "over
-//! the seed engine" no matter how the live crate evolves. Do not optimise
-//! anything here.
+//! the seed engine" no matter how the live crate evolves. The seed LZ77
+//! tokenizer is kept the same way, as the reference the live one must
+//! match byte for byte. Do not optimise anything here.
 
 use pwrel_bitstream::{varint, Error, Result};
 
@@ -426,4 +427,89 @@ pub fn seed_decode_planes(
         n = n_cur;
     }
     Ok(())
+}
+
+/// Seed LZ parameters (identical to the live `lz` module's).
+const LZ_WINDOW: usize = 32 * 1024;
+const LZ_MIN_MATCH: usize = 4;
+const LZ_MAX_MATCH: usize = 1 << 16;
+const LZ_MAX_CHAIN: usize = 64;
+const LZ_HASH_BITS: u32 = 15;
+
+#[inline]
+fn seed_hash4(data: &[u8], i: usize) -> usize {
+    let v = u32::from_le_bytes([data[i], data[i + 1], data[i + 2], data[i + 3]]);
+    (v.wrapping_mul(0x9E37_79B1) >> (32 - LZ_HASH_BITS)) as usize
+}
+
+/// Seed `lz::tokenize`, verbatim: greedy hash-chain LZ77 with `usize`
+/// links in an `n`-slot table and a byte-at-a-time match loop. The live
+/// tokenizer must emit exactly these bytes for every input.
+pub fn seed_lz_tokenize(input: &[u8]) -> Vec<u8> {
+    let n = input.len();
+    let mut out = Vec::with_capacity(n / 2 + 16);
+    if n < LZ_MIN_MATCH {
+        varint::write_uvarint(&mut out, n as u64);
+        out.extend_from_slice(input);
+        return out;
+    }
+
+    let mut head = vec![usize::MAX; 1 << LZ_HASH_BITS];
+    let mut prev = vec![usize::MAX; n];
+    let mut i = 0usize;
+    let mut lit_start = 0usize;
+
+    while i + LZ_MIN_MATCH <= n {
+        let h = seed_hash4(input, i);
+        let mut candidate = head[h];
+        let mut best_len = 0usize;
+        let mut best_dist = 0usize;
+        let mut chain = 0usize;
+        while candidate != usize::MAX && i - candidate <= LZ_WINDOW && chain < LZ_MAX_CHAIN {
+            let max_len = (n - i).min(LZ_MAX_MATCH);
+            let mut l = 0usize;
+            while l < max_len && input[candidate + l] == input[i + l] {
+                l += 1;
+            }
+            if l > best_len {
+                best_len = l;
+                best_dist = i - candidate;
+                if l >= max_len {
+                    break;
+                }
+            }
+            candidate = prev[candidate];
+            chain += 1;
+        }
+
+        if best_len >= LZ_MIN_MATCH {
+            // Flush pending literals, then the match.
+            varint::write_uvarint(&mut out, (i - lit_start) as u64);
+            out.extend_from_slice(&input[lit_start..i]);
+            varint::write_uvarint(&mut out, (best_len - LZ_MIN_MATCH) as u64);
+            varint::write_uvarint(&mut out, (best_dist - 1) as u64);
+            // Insert the covered positions into the chains, stopping where a
+            // 4-byte hash no longer fits, then jump past the whole match.
+            let match_end = i + best_len;
+            let insert_end = match_end.min(n.saturating_sub(LZ_MIN_MATCH - 1));
+            while i < insert_end {
+                let h = seed_hash4(input, i);
+                prev[i] = head[h];
+                head[h] = i;
+                i += 1;
+            }
+            i = match_end;
+            lit_start = i;
+            continue;
+        }
+
+        prev[i] = head[h];
+        head[h] = i;
+        i += 1;
+    }
+
+    // Trailing literals.
+    varint::write_uvarint(&mut out, (n - lit_start) as u64);
+    out.extend_from_slice(&input[lit_start..]);
+    out
 }

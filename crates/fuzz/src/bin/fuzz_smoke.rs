@@ -7,7 +7,8 @@
 //! cargo run --release -p pwrel-fuzz --bin fuzz_smoke -- --seconds 60
 //! ```
 //!
-//! Seeds every golden fixture under `tests/fixtures/`, then loops:
+//! Seeds every golden fixture under `tests/fixtures/` plus raw SZ streams
+//! in each wrapper form (raw, whole-payload LZ, sectioned), then loops:
 //! pick a seed, apply a random batch of byte flips / truncations /
 //! splices, and feed the result to every fuzz target. Any panic aborts
 //! the process with a non-zero status, which is the CI failure signal.
@@ -36,7 +37,41 @@ fn corpus() -> Vec<Vec<u8>> {
         // Degenerate fallback so the smoke still runs from odd CWDs.
         seeds.push(b"PWU1\x01\x00\x20\x01".to_vec());
     }
+    seeds.extend(sz_seeds());
     seeds
+}
+
+/// Raw SZ streams for the `fuzz_sz_stream` target: a noisy field (dense
+/// Huffman body, sectioned wrapper), a smooth one at a loose bound
+/// (whole-payload LZ wrapper) and the lossless pass off (raw wrapper).
+fn sz_seeds() -> Vec<Vec<u8>> {
+    use pwrel_data::Dims;
+    use pwrel_sz::SzCompressor;
+    let dims = Dims::d2(32, 64);
+    let mut x = 0x2545_F491u32;
+    let noisy: Vec<f32> = (0..dims.len())
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            (x % 1000) as f32 * 0.1
+        })
+        .collect();
+    let smooth: Vec<f32> = (0..dims.len()).map(|i| (i as f32 * 0.01).sin()).collect();
+    let sz = SzCompressor::default();
+    let raw = SzCompressor {
+        lossless_pass: false,
+        ..SzCompressor::default()
+    };
+    [
+        sz.compress_abs(&noisy, dims, 1e-3),
+        sz.compress_pwr(&noisy, dims, 1e-3),
+        sz.compress_abs(&smooth, dims, 1e-1),
+        raw.compress_abs(&noisy, dims, 1e-2),
+    ]
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 fn mutate(rng: &mut SmallRng, seed: &[u8]) -> Vec<u8> {

@@ -17,6 +17,7 @@ use pwrel_bitstream::BitReader;
 use pwrel_lossless::huffman;
 use pwrel_pipeline::container;
 use pwrel_pipeline::registry::global;
+use pwrel_sz::{SzCompressor, SzStream};
 use pwrel_zfp::nb;
 
 /// Unified `PWU1` container parse + full registry decode dispatch.
@@ -64,11 +65,29 @@ pub fn fuzz_zfp_planes(data: &[u8]) {
     }
 }
 
+/// Raw SZ stream parse (every wrapper: raw, whole-payload LZ and
+/// sectioned) and, when it parses, the full SZ decode. A stream that
+/// parses must survive a serialize/parse round trip unchanged.
+pub fn fuzz_sz_stream(data: &[u8]) {
+    if let Ok(stream) = SzStream::deserialize(data) {
+        for lossless in [false, true] {
+            let again = SzStream::deserialize(&stream.serialize(lossless))
+                .expect("a parsed SZ stream re-serializes into a valid one");
+            assert_eq!(again.mode, stream.mode);
+            assert_eq!(again.codes_buf, stream.codes_buf);
+            assert_eq!(again.unpred_bytes, stream.unpred_bytes);
+        }
+        let _ = SzCompressor::default().decompress::<f32>(data);
+        let _ = SzCompressor::default().decompress::<f64>(data);
+    }
+}
+
 /// All targets against one input — what the smoke binary iterates.
 pub fn fuzz_all(data: &[u8]) {
     fuzz_container_header(data);
     fuzz_huffman_decode(data);
     fuzz_zfp_planes(data);
+    fuzz_sz_stream(data);
 }
 
 #[cfg(test)]
@@ -86,6 +105,10 @@ mod tests {
             vec![0xFF; 64],
             (0..=255u8).collect(),
         ];
+        // Each SZ wrapper byte in front of short garbage.
+        for wrapper in 0..4u8 {
+            inputs.push([&[wrapper][..], b"\x05\x03SZR1 \x00\x01"].concat());
+        }
         // A valid container prefix with a corrupted tail.
         let mut forged = b"PWU1\x01\x03\x20\x01".to_vec();
         forged.extend_from_slice(&[0x80, 0x80, 0x80, 0x00, 0x55]);

@@ -929,6 +929,24 @@ fn decode_symbols_interleaved(
 /// descriptor without building decode tables, so it is cheap enough for
 /// per-chunk trace counters.
 pub fn lane_lengths(data: &[u8]) -> Option<[u64; LANES]> {
+    walk_descriptor(data).map(|(_, lens)| lens)
+}
+
+/// Splits an interleaved buffer into `(head, payload)`: the marker, code
+/// table and descriptor, then the concatenated sub-stream bytes. `None`
+/// for a legacy (or unparseable) buffer, or when the declared lane lengths
+/// do not cover exactly the bytes after the descriptor. `head ++ payload`
+/// is always the whole buffer, so callers may store the two apart.
+pub fn split_payload(data: &[u8]) -> Option<(&[u8], &[u8])> {
+    let (at, lens) = walk_descriptor(data)?;
+    let (head, payload) = data.split_at_checked(at)?;
+    let total = lens.iter().try_fold(0u64, |acc, &l| acc.checked_add(l))?;
+    (total == payload.len() as u64).then_some((head, payload))
+}
+
+/// Walks an interleaved buffer's marker, table and descriptor; returns the
+/// offset of the first sub-stream byte and the declared lane lengths.
+fn walk_descriptor(data: &[u8]) -> Option<(usize, [u64; LANES])> {
     let mut pos = 0usize;
     if varint::read_uvarint(data, &mut pos).ok()? != INTERLEAVED_MARKER {
         return None;
@@ -953,7 +971,7 @@ pub fn lane_lengths(data: &[u8]) -> Option<[u64; LANES]> {
     for len in lens.iter_mut() {
         *len = varint::read_uvarint(data, &mut pos).ok()?;
     }
-    Some(lens)
+    Some((pos, lens))
 }
 
 #[cfg(test)]
@@ -1278,6 +1296,11 @@ mod tests {
         let legacy = encode_symbols_single(&syms, 512);
         assert_eq!(lane_lengths(&legacy), None);
         assert_eq!(lane_lengths(&[]), None);
+        let (head, payload) = split_payload(&buf).unwrap();
+        assert_eq!(payload.len() as u64, lens.iter().sum::<u64>());
+        assert_eq!([head, payload].concat(), buf);
+        assert_eq!(split_payload(&legacy), None);
+        assert_eq!(split_payload(&buf[..buf.len() - 1]), None);
     }
 
     #[test]

@@ -32,8 +32,43 @@ fn hash4(data: &[u8], i: usize) -> usize {
     (v.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
 }
 
+/// Chain-link ring length: a power of two larger than [`WINDOW`], so the
+/// slot of any position still inside the window holds that position's own
+/// link (a slot is only reused `RING` positions later).
+const RING: usize = 2 * WINDOW;
+/// Ring value for "no earlier position in the window".
+const NO_LINK: u32 = WINDOW as u32 + 1;
+
+/// Length of the common prefix of `input[a..]` and `input[b..]`, capped at
+/// `max_len` (`a < b` and `b + max_len <= input.len()`). Compares eight
+/// bytes per step: the first differing byte is the lowest set byte of the
+/// XOR of two little-endian loads.
+#[inline]
+fn match_len(input: &[u8], a: usize, b: usize, max_len: usize) -> usize {
+    let (x, y) = (&input[a..a + max_len], &input[b..b + max_len]);
+    let mut l = 0usize;
+    for (wx, wy) in x.chunks_exact(8).zip(y.chunks_exact(8)) {
+        let word = |w: &[u8]| u64::from_le_bytes(w.try_into().expect("8-byte chunk"));
+        let diff = word(wx) ^ word(wy);
+        if diff != 0 {
+            return l + (diff.trailing_zeros() / 8) as usize;
+        }
+        l += 8;
+    }
+    l + x[l..]
+        .iter()
+        .zip(&y[l..])
+        .take_while(|(p, q)| p == q)
+        .count()
+}
+
 /// Produces the raw LZ77 token stream for `input`.
-fn tokenize(input: &[u8]) -> Vec<u8> {
+///
+/// Greedy parse: at each position the longest match among the newest 64
+/// same-hash positions within the 32 KiB window wins, the nearest on
+/// ties. Chain links are distances to the previous same-hash position,
+/// stored as `u32` in a 64 Ki-slot ring instead of an `n`-slot table.
+pub fn tokenize(input: &[u8]) -> Vec<u8> {
     let n = input.len();
     let mut out = Vec::with_capacity(n / 2 + 16);
     if n < MIN_MATCH {
@@ -43,30 +78,45 @@ fn tokenize(input: &[u8]) -> Vec<u8> {
     }
 
     let mut head = vec![usize::MAX; 1 << HASH_BITS];
-    let mut prev = vec![usize::MAX; n];
+    // Inputs shorter than the ring never wrap, so a smaller one suffices.
+    let ring_len = n.next_power_of_two().min(RING);
+    let mask = ring_len - 1;
+    let mut links = vec![NO_LINK; ring_len];
+    // Records `pos` as the newest position with hash `h`.
+    let insert = |head: &mut [usize], links: &mut [u32], h: usize, pos: usize| {
+        let newest = head[h];
+        links[pos & mask] = if newest == usize::MAX {
+            NO_LINK
+        } else {
+            (pos - newest).min(NO_LINK as usize) as u32
+        };
+        head[h] = pos;
+    };
     let mut i = 0usize;
     let mut lit_start = 0usize;
 
     while i + MIN_MATCH <= n {
         let h = hash4(input, i);
+        let max_len = (n - i).min(MAX_MATCH);
         let mut candidate = head[h];
         let mut best_len = 0usize;
         let mut best_dist = 0usize;
         let mut chain = 0usize;
         while candidate != usize::MAX && i - candidate <= WINDOW && chain < MAX_CHAIN {
-            let max_len = (n - i).min(MAX_MATCH);
-            let mut l = 0usize;
-            while l < max_len && input[candidate + l] == input[i + l] {
-                l += 1;
-            }
-            if l > best_len {
-                best_len = l;
-                best_dist = i - candidate;
-                if l >= max_len {
-                    break;
+            // Only a match longer than `best_len` can win, and any such
+            // match agrees at offset `best_len` (< max_len here).
+            if input[candidate + best_len] == input[i + best_len] {
+                let l = match_len(input, candidate, i, max_len);
+                if l > best_len {
+                    best_len = l;
+                    best_dist = i - candidate;
+                    if l >= max_len {
+                        break;
+                    }
                 }
             }
-            candidate = prev[candidate];
+            let link = links[candidate & mask] as usize;
+            candidate = candidate.checked_sub(link).unwrap_or(usize::MAX);
             chain += 1;
         }
 
@@ -81,9 +131,7 @@ fn tokenize(input: &[u8]) -> Vec<u8> {
             let match_end = i + best_len;
             let insert_end = match_end.min(n.saturating_sub(MIN_MATCH - 1));
             while i < insert_end {
-                let h = hash4(input, i);
-                prev[i] = head[h];
-                head[h] = i;
+                insert(&mut head, &mut links, hash4(input, i), i);
                 i += 1;
             }
             i = match_end;
@@ -91,8 +139,7 @@ fn tokenize(input: &[u8]) -> Vec<u8> {
             continue;
         }
 
-        prev[i] = head[h];
-        head[h] = i;
+        insert(&mut head, &mut links, h, i);
         i += 1;
     }
 
@@ -132,15 +179,15 @@ fn detokenize(tokens: &[u8], expected_len: usize) -> Result<Vec<u8>> {
         if dist > out.len() || match_len > expected_len - out.len() {
             return Err(Error::InvalidValue("lz match out of range"));
         }
+        // Copy in chunks no longer than the bytes already behind `start`:
+        // one chunk when the match does not overlap its own output, else
+        // doubling chunks that replay the `dist`-periodic pattern.
         let start = out.len() - dist;
-        // Byte-by-byte copy: matches may overlap their own output. The
-        // range is in bounds by the check above; `get` keeps the error
-        // path panic-free instead of grandfathering an indexing site.
-        for k in start..start + match_len {
-            match out.get(k).copied() {
-                Some(b) => out.push(b),
-                None => return Err(Error::InvalidValue("lz match out of range")),
-            }
+        let mut remaining = match_len;
+        while remaining > 0 {
+            let take = (out.len() - start).min(remaining);
+            out.extend_from_within(start..start + take);
+            remaining -= take;
         }
     }
     Ok(out)

@@ -92,10 +92,9 @@ fn forged_interleaved_descriptors(raw: &[u8]) -> Vec<(&'static str, Vec<u8>)> {
 }
 
 /// Splits a `PWT1` transform container into its header prefix (through
-/// the sign section, before the inner-length field) and the *raw* inner
-/// SZ body, undoing the inner stream's optional LZ wrapper so forgeries
-/// can address the Huffman bytes directly.
-fn split_transform(pwt1: &[u8]) -> (Vec<u8>, Vec<u8>) {
+/// the sign section, before the inner-length field) and the inner SZ
+/// stream, wrapper byte included.
+fn transform_inner(pwt1: &[u8]) -> (Vec<u8>, &[u8]) {
     assert_eq!(&pwt1[..4], b"PWT1");
     let mut pos = 4 + 1 + 1 + 1 + 8 + 8; // magic, width, base, sign flag, bounds
     if pwt1[6] == 1 {
@@ -109,23 +108,44 @@ fn split_transform(pwt1: &[u8]) -> (Vec<u8>, Vec<u8>) {
         pwt1.len(),
         "inner stream fills the container"
     );
-    let inner = &pwt1[pos..];
+    (pwt1[..len_at].to_vec(), &pwt1[pos..])
+}
+
+/// [`transform_inner`], then the *raw* (flat) SZ payload: undoes the
+/// inner stream's wrapper — whole-payload LZ (`1`), or sectioned (`2`):
+/// `uvarint head_len | uvarint body_len | body | lz(head ++ tail)`,
+/// reassembled as `head ++ body ++ tail` — so forgeries can address the
+/// Huffman bytes directly.
+fn split_transform(pwt1: &[u8]) -> (Vec<u8>, Vec<u8>) {
+    let (prefix, inner) = transform_inner(pwt1);
     let raw = match inner[0] {
         0 => inner[1..].to_vec(),
         1 => lz::decompress(&inner[1..]).expect("valid LZ wrapper"),
+        2 => {
+            let mut pos = 1;
+            let head_len = read_uvarint(inner, &mut pos) as usize;
+            let body_len = read_uvarint(inner, &mut pos) as usize;
+            let body = &inner[pos..pos + body_len];
+            let ht = lz::decompress(&inner[pos + body_len..]).expect("valid LZ section");
+            [&ht[..head_len], body, &ht[head_len..]].concat()
+        }
         w => panic!("unknown SZ wrapper byte {w}"),
     };
-    (pwt1[..len_at].to_vec(), raw)
+    (prefix, raw)
+}
+
+/// Re-assembles a `PWT1` container around an inner SZ stream.
+fn rebuild_inner(prefix: &[u8], inner: &[u8]) -> Vec<u8> {
+    let mut out = prefix.to_vec();
+    write_uvarint(&mut out, inner.len() as u64);
+    out.extend_from_slice(inner);
+    out
 }
 
 /// Re-assembles a `PWT1` container around a (possibly forged) raw SZ
 /// body using the always-valid uncompressed wrapper.
 fn rebuild_transform(prefix: &[u8], raw_body: &[u8]) -> Vec<u8> {
-    let mut out = prefix.to_vec();
-    write_uvarint(&mut out, raw_body.len() as u64 + 1);
-    out.push(0);
-    out.extend_from_slice(raw_body);
-    out
+    rebuild_inner(prefix, &[&[0u8], raw_body].concat())
 }
 
 fn sample_field() -> (Vec<f32>, Dims) {
@@ -708,6 +728,113 @@ mod interleaved {
                 "{workers} workers changed the reconstruction"
             );
         }
+    }
+}
+
+/// Hostile bytes in the sectioned SZ wrapper (`2`): every forged length or
+/// truncation must surface as `Corrupt` through the full `PWU1`/`PWT1`
+/// layering, never as a panic or an unbounded allocation.
+mod sectioned {
+    use super::*;
+    use pwrel::data::CodecError;
+    use pwrel::pipeline::container::{self, ContainerHeader};
+    use pwrel::pipeline::{global, CompressOpts};
+
+    /// A one-shot `sz_t` container whose inner stream takes wrapper 2:
+    /// noisy values spread the quantization codes, so the Huffman body is
+    /// dense and stays raw.
+    fn sectioned_stream() -> (ContainerHeader, Vec<u8>, Vec<u8>) {
+        let dims = Dims::d2(64, 128);
+        let mut x = 0x9E37_79B9u32;
+        let data: Vec<f32> = (0..dims.len())
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                1.0 + (x % 10_000) as f32 * 0.01
+            })
+            .collect();
+        let stream = global()
+            .compress("sz_t", &data, dims, &CompressOpts::rel(1e-3))
+            .unwrap();
+        let (header, pwt1) = container::unwrap(&stream).unwrap();
+        let (prefix, inner) = super::transform_inner(pwt1);
+        assert_eq!(inner[0], 2, "fixture must use the sectioned wrapper");
+        (header, prefix, inner.to_vec())
+    }
+
+    fn assert_corrupt(header: &ContainerHeader, prefix: &[u8], inner: &[u8], what: &str) {
+        let bad = container::wrap(header, &super::rebuild_inner(prefix, inner));
+        match global().decompress::<f32>(&bad) {
+            Err(CodecError::Corrupt(_)) => {}
+            other => panic!("{what}: decode gave {other:?}"),
+        }
+        try_all_decoders(what, &bad);
+    }
+
+    /// `[2] | head_len | body_len | rest` with the two lengths replaced.
+    fn forge(head_len: u64, body_len: u64, rest: &[u8]) -> Vec<u8> {
+        let mut out = vec![2u8];
+        write_uvarint(&mut out, head_len);
+        write_uvarint(&mut out, body_len);
+        out.extend_from_slice(rest);
+        out
+    }
+
+    #[test]
+    fn intact_sectioned_stream_round_trips_through_the_helpers() {
+        let (header, prefix, inner) = sectioned_stream();
+        let same = container::wrap(&header, &super::rebuild_inner(&prefix, &inner));
+        let (vals, _) = global().decompress::<f32>(&same).unwrap();
+        // The flat payload re-wrapped raw decodes to the same values.
+        let mut pwt1 = prefix.clone();
+        write_uvarint(&mut pwt1, inner.len() as u64);
+        pwt1.extend_from_slice(&inner);
+        let (_, raw) = super::split_transform(&pwt1);
+        let flat = container::wrap(&header, &super::rebuild_transform(&prefix, &raw));
+        assert_eq!(global().decompress::<f32>(&flat).unwrap().0, vals);
+    }
+
+    #[test]
+    fn head_len_past_lz_output_is_corrupt() {
+        let (header, prefix, inner) = sectioned_stream();
+        let mut pos = 1;
+        let head_len = read_uvarint(&inner, &mut pos);
+        let body_len = read_uvarint(&inner, &mut pos);
+        let rest = &inner[pos..];
+        let ht_len = lz::decompress(&rest[body_len as usize..]).unwrap().len() as u64;
+        assert!(head_len < ht_len);
+        for h in [ht_len + 1, ht_len + 1000, u64::MAX] {
+            assert_corrupt(&header, &prefix, &forge(h, body_len, rest), "head_len");
+        }
+    }
+
+    #[test]
+    fn body_len_past_input_is_corrupt() {
+        let (header, prefix, inner) = sectioned_stream();
+        let mut pos = 1;
+        let head_len = read_uvarint(&inner, &mut pos);
+        read_uvarint(&inner, &mut pos);
+        let rest = &inner[pos..];
+        for b in [rest.len() as u64 + 1, 1 << 40, u64::MAX] {
+            assert_corrupt(&header, &prefix, &forge(head_len, b, rest), "body_len");
+        }
+    }
+
+    #[test]
+    fn truncated_lz_tail_is_corrupt() {
+        let (header, prefix, inner) = sectioned_stream();
+        for cut in [1, 2, 7, 40] {
+            let short = &inner[..inner.len() - cut];
+            assert_corrupt(&header, &prefix, short, "truncated LZ tail");
+        }
+    }
+
+    #[test]
+    fn unknown_wrapper_byte_is_corrupt() {
+        let (header, prefix, mut inner) = sectioned_stream();
+        inner[0] = 3;
+        assert_corrupt(&header, &prefix, &inner, "wrapper byte 3");
     }
 }
 
