@@ -15,7 +15,12 @@
 //! Each codec is measured `PWREL_STAGE_REPS` times (default 5) after a
 //! warm-up pass and the rep with the smallest compress + decompress total
 //! is reported — single-shot stage numbers on a shared machine are
-//! dominated by scheduler and frequency noise.
+//! dominated by scheduler and frequency noise. One rep is a batch of
+//! back-to-back round trips, enough that every gated stage accumulates at
+//! least [`SAMPLE_FLOOR_MS`] per rep (the warm-up pass sizes the batch);
+//! a sub-millisecond stage timed once gates timer noise, not the kernel.
+//! The JSON reports per-round-trip means over the batch, plus the batch
+//! size as `round_trips`.
 //!
 //! `--gate <committed BENCH_stages.json>` switches to regression-gate
 //! mode: instead of writing the JSON, the hot-kernel stages
@@ -30,21 +35,62 @@ use pwrel_bench::scale_from_env;
 use pwrel_pipeline::{global, CompressOpts};
 use pwrel_trace::{export, stage, TraceSink};
 
-/// One traced round trip; returns the sink plus the container size.
-fn traced_round_trip(codec: &str, data: &[f32], dims: pwrel_data::Dims) -> (TraceSink, usize) {
+/// Least time every gated stage accumulates within one rep.
+const SAMPLE_FLOOR_MS: f64 = 5.0;
+
+/// The gated (codec, stage) pairs: the hot kernels of each codec.
+const GATED: [(&str, &str); 4] = [
+    ("sz_t", stage::PREDICT_QUANTIZE),
+    ("sz_t", stage::HUFFMAN),
+    ("sz_t", stage::LZ),
+    ("zfp_t", stage::PLANE_CODE),
+];
+
+/// `n` back-to-back traced round trips into one sink; returns the sink
+/// plus the container size.
+fn traced_round_trips(
+    codec: &str,
+    data: &[f32],
+    dims: pwrel_data::Dims,
+    n: usize,
+) -> (TraceSink, usize) {
     let sink = TraceSink::new();
-    let stream = global()
-        .compress_traced(codec, data, dims, &CompressOpts::rel(1e-3), &sink)
-        .unwrap_or_else(|e| panic!("{codec} compress: {e:?}"));
-    let (back, _) = global()
-        .decompress_traced::<f32>(&stream, &sink)
-        .unwrap_or_else(|e| panic!("{codec} decompress: {e:?}"));
-    assert_eq!(back.len(), data.len());
-    (sink, stream.len())
+    let mut compressed = 0;
+    for _ in 0..n {
+        let stream = global()
+            .compress_traced(codec, data, dims, &CompressOpts::rel(1e-3), &sink)
+            .unwrap_or_else(|e| panic!("{codec} compress: {e:?}"));
+        let (back, _) = global()
+            .decompress_traced::<f32>(&stream, &sink)
+            .unwrap_or_else(|e| panic!("{codec} decompress: {e:?}"));
+        assert_eq!(back.len(), data.len());
+        compressed = stream.len();
+    }
+    (sink, compressed)
 }
 
-/// Renders one codec's stage rows as a JSON object, root spans first.
-fn stages_json(sink: &TraceSink) -> String {
+/// Round trips per rep so that each of `codec`'s gated stages, as timed
+/// in the single-round-trip `warm` sink, accumulates at least
+/// [`SAMPLE_FLOOR_MS`].
+fn batch_size(codec: &str, warm: &TraceSink) -> usize {
+    let rows = export::stage_rows(warm);
+    GATED
+        .iter()
+        .filter(|(c, _)| *c == codec)
+        .map(|(_, stage_name)| {
+            let ms = rows
+                .get(stage_name)
+                .map_or(0.0, |r| r.total_ns as f64 / 1e6);
+            (SAMPLE_FLOOR_MS / ms.max(1e-3)).ceil() as usize
+        })
+        .max()
+        .unwrap_or(1)
+        .max(1)
+}
+
+/// Renders one codec's stage rows as a JSON object, root spans first,
+/// as per-round-trip means over a batch of `n`.
+fn stages_json(sink: &TraceSink, n: usize) -> String {
     let rows = export::stage_rows(sink);
     let mut names: Vec<&str> = rows.keys().copied().collect();
     // Roots first, then the per-stage spans in alphabetical order.
@@ -56,8 +102,8 @@ fn stages_json(sink: &TraceSink) -> String {
             format!(
                 "            \"{}\": {{\"calls\": {}, \"total_ms\": {:.3}}}",
                 name,
-                row.calls,
-                row.total_ns as f64 / 1e6
+                row.calls / n as u64,
+                row.total_ns as f64 / 1e6 / n as f64
             )
         })
         .collect();
@@ -109,21 +155,24 @@ fn committed_elements(row: &str) -> Option<f64> {
     val[..end].trim().parse().ok()
 }
 
-/// Best-of-`reps` traced round trips of both codecs on one field: the
-/// JSON row and the winning sinks.
+/// Best-of-`reps` batches of traced round trips of both codecs on one
+/// field: the JSON row and, per codec, the winning sink with its batch
+/// size.
 fn measure(
     field: &pwrel_data::Field<f32>,
     reps: usize,
-) -> (String, Vec<(&'static str, TraceSink)>) {
+) -> (String, Vec<(&'static str, TraceSink, usize)>) {
     let nbytes = field.data.len() * 4;
     let mut entries = Vec::new();
     let mut best_sinks = Vec::new();
     for codec in ["sz_t", "zfp_t"] {
-        // Warm-up pass pages the dataset in; best-of-reps follows.
-        traced_round_trip(codec, &field.data, field.dims);
-        let (mut sink, mut compressed) = traced_round_trip(codec, &field.data, field.dims);
+        // The warm-up round trip pages the dataset in and sizes the
+        // batch; best-of-reps follows.
+        let (warm, _) = traced_round_trips(codec, &field.data, field.dims, 1);
+        let n = batch_size(codec, &warm);
+        let (mut sink, mut compressed) = traced_round_trips(codec, &field.data, field.dims, n);
         for _ in 1..reps {
-            let (s, c) = traced_round_trip(codec, &field.data, field.dims);
+            let (s, c) = traced_round_trips(codec, &field.data, field.dims, n);
             if round_trip_ns(&s) < round_trip_ns(&sink) {
                 (sink, compressed) = (s, c);
             }
@@ -134,16 +183,21 @@ fn measure(
                 "        \"{}\": {{\n",
                 "          \"compressed_bytes\": {},\n",
                 "          \"ratio\": {:.3},\n",
+                "          \"round_trips\": {},\n",
                 "          \"stages\": {}\n",
                 "        }}",
             ),
             codec,
             compressed,
             ratio,
-            stages_json(&sink),
+            n,
+            stages_json(&sink, n),
         ));
-        eprintln!("{}/{codec}: ratio {ratio:.2}", field.name);
-        best_sinks.push((codec, sink));
+        eprintln!(
+            "{}/{codec}: ratio {ratio:.2}, {n} round trips per rep",
+            field.name
+        );
+        best_sinks.push((codec, sink, n));
     }
     let row = format!(
         concat!(
@@ -166,22 +220,17 @@ fn measure(
 fn gate_field(
     committed: &str,
     field: &pwrel_data::Field<f32>,
-    sinks: &[(&'static str, TraceSink)],
+    sinks: &[(&'static str, TraceSink, usize)],
 ) -> bool {
     let row = committed_row(committed, &field.name)
         .unwrap_or_else(|| panic!("baseline missing field {}", field.name));
     let base_elems = committed_elements(row).expect("baseline elements");
     let cur_elems = field.data.len() as f64;
     let mut failed = false;
-    for (codec, stage_name) in [
-        ("sz_t", stage::PREDICT_QUANTIZE),
-        ("sz_t", stage::HUFFMAN),
-        ("sz_t", stage::LZ),
-        ("zfp_t", stage::PLANE_CODE),
-    ] {
-        let sink = &sinks.iter().find(|(c, _)| *c == codec).unwrap().1;
+    for (codec, stage_name) in GATED {
+        let (_, sink, n) = sinks.iter().find(|(c, ..)| *c == codec).unwrap();
         let rows = export::stage_rows(sink);
-        let cur_ms = rows[stage_name].total_ns as f64 / 1e6;
+        let cur_ms = rows[stage_name].total_ns as f64 / 1e6 / *n as f64;
         let base_ms = committed_total_ms(row, stage_name)
             .unwrap_or_else(|| panic!("baseline missing stage {stage_name}"));
         let cur_per = cur_ms / cur_elems;

@@ -34,6 +34,7 @@ use pwrel_bench::{scale_from_env, timed};
 use pwrel_data::{CodecError, Dims, Scale};
 use pwrel_parallel::{ChunkedCodec, WorkerPool};
 use pwrel_pipeline::{global, ChunkSource, CompressOpts, StreamStats, WriteSink};
+use pwrel_trace::noop;
 
 /// Synthesizes the field chunk by chunk from one template chunk: values
 /// span several decades (the transform codecs' target shape) and each
@@ -143,7 +144,15 @@ fn main() {
         );
         let (stats, secs) = timed(|| {
             let stats = chunked
-                .compress_stream::<f32>(global(), "sz_t", &mut src, &mut out, dims, &opts)
+                .compress_stream_traced::<f32>(
+                    global(),
+                    "sz_t",
+                    &mut src,
+                    &mut out,
+                    dims,
+                    &opts,
+                    noop(),
+                )
                 .expect("streaming compress");
             use std::io::Write;
             out.flush().expect("flush temp stream");
@@ -185,7 +194,7 @@ fn main() {
         let mut sink: WriteSink<CountingWriter> = WriteSink::new(CountingWriter::default());
         let ((header, _), secs) = timed(|| {
             chunked
-                .decompress_stream::<f32>(global(), &mut input, &mut sink)
+                .decompress_stream_traced::<f32>(global(), &mut input, &mut sink, noop())
                 .expect("streaming decompress")
         });
         assert_eq!(header.dims, dims);

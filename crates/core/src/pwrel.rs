@@ -111,55 +111,15 @@ impl<C> PwRelCompressor<C> {
     /// codecs that implement [`LogFusedCodec`]: the log transform runs
     /// inside the codec's own sweep (chunked through a stack scratch)
     /// instead of materializing the mapped field first. Produces the same
-    /// container bytes as the buffered route; kernel chosen by
-    /// `PWREL_KERNEL`.
+    /// container bytes as the buffered route for the same `kernel`
+    /// (`Kernel::from_env()` honours `PWREL_KERNEL`).
+    ///
+    /// The transform planning pass, the inner codec sweep, and the
+    /// sign-section coding are each attributed to their own stage on
+    /// `rec` (pass [`pwrel_trace::noop`] for an untraced run); the
+    /// [`stage::SIGNS`] span is emitted even for all-positive fields so
+    /// per-codec stage coverage stays deterministic.
     pub fn compress_fused<F: Float>(
-        &self,
-        data: &[F],
-        dims: Dims,
-        rel_bound: f64,
-    ) -> Result<Vec<u8>, CodecError>
-    where
-        C: LogFusedCodec<F>,
-    {
-        self.compress_fused_with_kernel(data, dims, rel_bound, Kernel::from_env())
-    }
-
-    /// [`PwRelCompressor::compress_fused`] with per-stage recording on
-    /// `rec` (kernel chosen by `PWREL_KERNEL`). Identical output bytes.
-    pub fn compress_fused_traced<F: Float>(
-        &self,
-        data: &[F],
-        dims: Dims,
-        rel_bound: f64,
-        rec: &dyn Recorder,
-    ) -> Result<Vec<u8>, CodecError>
-    where
-        C: LogFusedCodec<F>,
-    {
-        self.compress_fused_with_kernel_traced(data, dims, rel_bound, Kernel::from_env(), rec)
-    }
-
-    /// [`PwRelCompressor::compress_fused`] with an explicit kernel choice.
-    pub fn compress_fused_with_kernel<F: Float>(
-        &self,
-        data: &[F],
-        dims: Dims,
-        rel_bound: f64,
-        kernel: Kernel,
-    ) -> Result<Vec<u8>, CodecError>
-    where
-        C: LogFusedCodec<F>,
-    {
-        self.compress_fused_with_kernel_traced(data, dims, rel_bound, kernel, pwrel_trace::noop())
-    }
-
-    /// The fully-general fused entry point: explicit kernel plus a
-    /// recorder. The transform planning pass, the inner codec sweep, and
-    /// the sign-section coding are each attributed to their own stage;
-    /// the [`stage::SIGNS`] span is emitted even for all-positive fields
-    /// so per-codec stage coverage stays deterministic.
-    pub fn compress_fused_with_kernel_traced<F: Float>(
         &self,
         data: &[F],
         dims: Dims,
@@ -188,7 +148,7 @@ impl<C> PwRelCompressor<C> {
                 );
             }
         }
-        let fused = self.inner.compress_fused_traced(data, dims, &plan, rec)?;
+        let fused = self.inner.compress_fused(data, dims, &plan, rec)?;
         let sign_section = {
             let _signs = Span::enter(rec, stage::SIGNS);
             if rec.is_enabled() {
@@ -216,37 +176,12 @@ impl<C> PwRelCompressor<C> {
         ))
     }
 
-    /// Decompresses, returning the data and its grid shape.
-    pub fn decompress_full<F: Float>(&self, bytes: &[u8]) -> Result<(Vec<F>, Dims), CodecError>
-    where
-        C: AbsErrorCodec<F>,
-    {
-        self.decompress_full_traced(bytes, pwrel_trace::noop())
-    }
-
-    /// [`PwRelCompressor::decompress_full`] with per-stage recording:
-    /// the inner codec decode and the inverse transform each get a span.
-    pub fn decompress_full_traced<F: Float>(
+    /// Decompresses, returning the data and its grid shape. The inner
+    /// codec decode and the inverse transform each get a span on `rec`.
+    pub fn decompress_full<F: Float>(
         &self,
         bytes: &[u8],
         rec: &dyn Recorder,
-    ) -> Result<(Vec<F>, Dims), CodecError>
-    where
-        C: AbsErrorCodec<F>,
-    {
-        self.decompress_full_pooled(bytes, rec, &pwrel_data::SerialLanes)
-    }
-
-    /// [`PwRelCompressor::decompress_full_traced`] with an executor for
-    /// the inner codec's intra-stream fan-out (interleaved entropy
-    /// sub-streams decode on a worker pool). Identical output for any
-    /// executor; the serial executor reproduces `decompress_full_traced`
-    /// exactly.
-    pub fn decompress_full_pooled<F: Float>(
-        &self,
-        bytes: &[u8],
-        rec: &dyn Recorder,
-        exec: &dyn pwrel_data::LaneExecutor,
     ) -> Result<(Vec<F>, Dims), CodecError>
     where
         C: AbsErrorCodec<F>,
@@ -284,7 +219,7 @@ impl<C> PwRelCompressor<C> {
         let inner_len = len_of(varint::read_uvarint(bytes, &mut pos)?)?;
         let inner_stream = bytesio::get_bytes(bytes, &mut pos, inner_len)?;
 
-        let (mapped, dims) = self.inner.decompress_abs_pooled(inner_stream, rec, exec)?;
+        let (mapped, dims) = self.inner.decompress_abs_traced(inner_stream, rec)?;
         let data = {
             let _inv = Span::enter(rec, stage::TRANSFORM_INV);
             transform::inverse(&mapped, base, zero_threshold, sign_section)?
@@ -297,7 +232,7 @@ impl<C> PwRelCompressor<C> {
     where
         C: AbsErrorCodec<F>,
     {
-        Ok(self.decompress_full(bytes)?.0)
+        Ok(self.decompress_full(bytes, pwrel_trace::noop())?.0)
     }
 }
 
@@ -334,7 +269,9 @@ mod tests {
         let codec = sz_t(LogBase::Two);
         for br in [1e-1, 1e-2, 1e-3, 1e-4] {
             let bytes = codec.compress(&field.data, field.dims, br).unwrap();
-            let (dec, dims) = codec.decompress_full::<f32>(&bytes).unwrap();
+            let (dec, dims) = codec
+                .decompress_full::<f32>(&bytes, pwrel_trace::noop())
+                .unwrap();
             assert_eq!(dims, field.dims);
             assert_rel_bounded(&field.data, &dec, br, "density");
         }
@@ -476,7 +413,7 @@ mod tests {
                     .unwrap(),
             );
             let fused = codec
-                .compress_fused_with_kernel(&data, dims, 1e-3, kernel)
+                .compress_fused(&data, dims, 1e-3, kernel, pwrel_trace::noop())
                 .unwrap();
             assert_eq!(buffered, fused, "{kernel:?}");
             let dec: Vec<f32> = codec.decompress(&fused).unwrap();
@@ -500,7 +437,7 @@ mod tests {
                     .unwrap(),
             );
             let fused = codec
-                .compress_fused_with_kernel(&data, dims, 1e-2, kernel)
+                .compress_fused(&data, dims, 1e-2, kernel, pwrel_trace::noop())
                 .unwrap();
             assert_eq!(buffered, fused, "{kernel:?}");
             let dec: Vec<f32> = codec.decompress(&fused).unwrap();
@@ -519,7 +456,9 @@ mod tests {
             LogBase::Two,
         );
         let buffered = codec.compress(&data, dims, 1e-3).unwrap();
-        let fused = codec.compress_fused(&data, dims, 1e-3).unwrap();
+        let fused = codec
+            .compress_fused(&data, dims, 1e-3, Kernel::from_env(), pwrel_trace::noop())
+            .unwrap();
         assert_eq!(buffered, fused);
     }
 

@@ -19,7 +19,6 @@
 pub mod codec;
 mod dataset_ext;
 pub mod dims;
-pub mod exec;
 pub mod field;
 pub mod float;
 pub mod grf;
@@ -32,7 +31,6 @@ pub mod nyx;
 
 pub use codec::{AbsErrorCodec, CodecError};
 pub use dims::Dims;
-pub use exec::{LaneExecutor, SerialLanes};
 pub use field::Field;
 pub use float::Float;
 pub use stage::{

@@ -176,27 +176,14 @@ pub trait LogFusedCodec<F: Float> {
     /// Compresses `data` with the transform applied on the fly. Must
     /// produce the same stream bytes as `compress_abs` over the buffered
     /// transform of `data`, plus the sign bitmap from the same sweep.
+    /// Internal stages are attributed on `rec`, which only observes.
     fn compress_fused(
         &self,
         data: &[F],
         dims: Dims,
         plan: &LogPlan,
-    ) -> Result<FusedOutput, CodecError>;
-
-    /// [`LogFusedCodec::compress_fused`] with per-stage recording on
-    /// `rec`. The default ignores the recorder, so implementations only
-    /// override it when they have internal stages worth attributing;
-    /// the stream bytes must be identical either way.
-    fn compress_fused_traced(
-        &self,
-        data: &[F],
-        dims: Dims,
-        plan: &LogPlan,
         rec: &dyn pwrel_trace::Recorder,
-    ) -> Result<FusedOutput, CodecError> {
-        let _ = rec;
-        self.compress_fused(data, dims, plan)
-    }
+    ) -> Result<FusedOutput, CodecError>;
 }
 
 #[cfg(test)]

@@ -12,37 +12,31 @@
 //! [`pwrel_pipeline::stream`] (`PWS1` header + self-describing frames),
 //! so everything this wrapper emits is readable by the registry's
 //! sequential `decompress_stream` and vice versa — the pipelined and
-//! sequential engines are byte-identical for the same chunk size. Chunks
-//! flow through [`WorkerPool::pipeline`]: the calling thread reads chunk
-//! `k+2` and writes frame `k` while workers compress the chunks in
-//! between, with the bounded in-flight window capping peak memory at a
-//! few chunks regardless of field size. Chunk buffers recycle through a
+//! sequential engines are byte-identical for the same chunk size. Every
+//! chunk goes through a registered codec's one `compress`/`decompress`
+//! pair, resolved from the registry by name or by the stream's codec
+//! id. Chunks flow through [`WorkerPool::pipeline`]: the calling thread
+//! reads chunk `k+2` and writes frame `k` while workers compress the
+//! chunks in between, with the bounded in-flight window capping peak
+//! memory at a few chunks regardless of field size. Chunk buffers recycle through a
 //! [`BufferPool`] arena, so the engine's own steady-state allocation per
 //! chunk is zero after warm-up.
 
 use crate::pool::WorkerPool;
-use pwrel_data::{CodecError, Dims, Float};
-use pwrel_pipeline::stream::{self, EXTERNAL_CODEC_ID};
+use pwrel_data::{CodecError, Dims};
+use pwrel_pipeline::stream;
 use pwrel_pipeline::{
-    BufferPool, ChunkPlan, ChunkSink, ChunkSource, CodecRegistry, CompressOpts, FrameHeader,
-    FrameWalker, PipelineElem, SliceSource, StreamHeader, StreamStats, VecSink,
+    BufferPool, ChunkPlan, ChunkSink, ChunkSource, Codec, CodecRegistry, CompressOpts, FrameHeader,
+    FrameWalker, PipelineElem, StreamHeader, StreamStats,
 };
 use pwrel_trace::{stage, Recorder, Span};
 use std::io::{Read, Write};
-
-/// Per-chunk encode hook the pipelined compress engine fans out to
-/// workers.
-type CompressChunkFn<'a, F> = &'a (dyn Fn(&[F], Dims) -> Result<Vec<u8>, CodecError> + Sync);
-
-/// Per-chunk decode hook the pipelined decompress engine fans out to
-/// workers.
-type DecompressChunkFn<'a, F> = &'a (dyn Fn(&[u8]) -> Result<(Vec<F>, Dims), CodecError> + Sync);
 
 /// One decoded chunk in flight: recycled payload buffer, expected slab
 /// dims, and the worker's decode result.
 type DecodedChunk<F> = (Vec<u8>, Dims, Result<(Vec<F>, Dims), CodecError>);
 
-/// Chunk-pipelined wrapper running any per-buffer codec over a framed
+/// Chunk-pipelined wrapper running a registered codec over a framed
 /// stream with bounded memory.
 #[derive(Debug, Clone)]
 pub struct ChunkedCodec {
@@ -76,27 +70,23 @@ impl ChunkedCodec {
     /// pool with frames emitted strictly in chunk order (byte-identical
     /// to the sequential engine in `pwrel-pipeline`). On error the
     /// stream written so far is abandoned mid-frame — callers discard it.
-    #[allow(clippy::too_many_arguments)] // mirrors the sequential engine plus identity
-    fn run_compress<F: Float>(
+    fn run_compress<F: PipelineElem>(
         &self,
-        codec_id: u8,
-        entropy_mode: u8,
-        granularity: usize,
+        codec: &dyn Codec,
         src: &mut dyn ChunkSource<F>,
         out: &mut dyn Write,
         dims: Dims,
         opts: &CompressOpts,
-        compress_chunk: CompressChunkFn<'_, F>,
         rec: &dyn Recorder,
     ) -> Result<StreamStats, CodecError> {
-        let plan = ChunkPlan::new(dims, self.chunk_elems, granularity)?;
+        let plan = ChunkPlan::new(dims, self.chunk_elems, codec.chunk_granularity())?;
         let header = StreamHeader {
-            codec_id,
+            codec_id: codec.id(),
             elem_bits: F::BITS as u8,
             dims,
             bound: opts.bound,
             base: opts.base,
-            entropy_mode,
+            entropy_mode: codec.entropy_mode(),
             n_chunks: plan.n_chunks() as u64,
         };
         let mut head = Vec::with_capacity(48);
@@ -133,7 +123,7 @@ impl ChunkedCodec {
             },
             |(buf, d): (Vec<F>, Dims)| {
                 let _chunk = Span::enter(rec, stage::CHUNK_COMPRESS);
-                let payload = compress_chunk(&buf, d);
+                let payload = codec.compress(F::erase(&buf), d, opts, rec);
                 (buf, payload)
             },
             |(buf, payload): (Vec<F>, Result<Vec<u8>, CodecError>)| {
@@ -174,17 +164,14 @@ impl ChunkedCodec {
     /// coverage, payload plausibility) on the reading thread, fans the
     /// payloads out to workers, and delivers chunks to `sink` strictly
     /// in raster order.
-    fn run_decompress<F: Float>(
+    fn run_decompress<F: PipelineElem>(
         &self,
+        codec: &dyn Codec,
         header: &StreamHeader,
         input: &mut dyn Read,
         sink: &mut dyn ChunkSink<F>,
-        decompress_chunk: DecompressChunkFn<'_, F>,
         rec: &dyn Recorder,
     ) -> Result<StreamStats, CodecError> {
-        if header.elem_bits as u32 != F::BITS {
-            return Err(CodecError::Mismatch("element type does not match stream"));
-        }
         let mut walker = FrameWalker::new(header);
         let arena: BufferPool<u8> = BufferPool::new();
         let mut stats = StreamStats {
@@ -212,7 +199,9 @@ impl ChunkedCodec {
             },
             |(payload, d): (Vec<u8>, Dims)| {
                 let _chunk = Span::enter(rec, stage::CHUNK_DECOMPRESS);
-                let res = decompress_chunk(&payload);
+                let res = codec
+                    .decompress(&payload, F::ELEM, rec)
+                    .and_then(|(data, d)| Ok((F::unerase(data)?, d)));
                 (payload, d, res)
             },
             |(payload, chunk_dims, res): DecodedChunk<F>| {
@@ -239,200 +228,13 @@ impl ChunkedCodec {
         Ok(stats)
     }
 
-    /// Compresses `data` chunk-by-chunk with `compress_chunk` on the
-    /// pool, emitting a framed stream under the reserved external codec
-    /// id (the closure, not a registry entry, defines the payloads; the
-    /// recorded bound is zero because the wrapper cannot know it).
-    pub fn compress<F, C>(
-        &self,
-        data: &[F],
-        dims: Dims,
-        compress_chunk: C,
-    ) -> Result<Vec<u8>, CodecError>
-    where
-        F: Float,
-        C: Fn(&[F], Dims) -> Result<Vec<u8>, CodecError> + Sync,
-    {
-        self.compress_traced(data, dims, compress_chunk, pwrel_trace::noop())
-    }
-
-    /// [`ChunkedCodec::compress`] with per-stage recording: a `chunks`
-    /// span brackets the fan-out, each chunk records a `chunk_compress`
-    /// span from whichever worker runs it, and the pool adds task
-    /// counts. Emits the same bytes.
-    pub fn compress_traced<F, C>(
-        &self,
-        data: &[F],
-        dims: Dims,
-        compress_chunk: C,
-        rec: &dyn Recorder,
-    ) -> Result<Vec<u8>, CodecError>
-    where
-        F: Float,
-        C: Fn(&[F], Dims) -> Result<Vec<u8>, CodecError> + Sync,
-    {
-        if data.len() != dims.len() {
-            return Err(CodecError::InvalidArgument("data length != dims"));
-        }
-        let _chunks = Span::enter(rec, stage::CHUNKS);
-        let mut src = SliceSource::new(data);
-        let mut out = Vec::new();
-        self.run_compress(
-            EXTERNAL_CODEC_ID,
-            pwrel_pipeline::container::ENTROPY_MODE_SINGLE,
-            1,
-            &mut src,
-            &mut out,
-            dims,
-            &CompressOpts::rel(0.0),
-            &compress_chunk,
-            rec,
-        )?;
-        Ok(out)
-    }
-
-    /// Decompresses a framed stream with `decompress_chunk` on the pool.
-    pub fn decompress<F, D>(
-        &self,
-        bytes: &[u8],
-        decompress_chunk: D,
-    ) -> Result<(Vec<F>, Dims), CodecError>
-    where
-        F: Float,
-        D: Fn(&[u8]) -> Result<(Vec<F>, Dims), CodecError> + Sync,
-    {
-        self.decompress_traced(bytes, decompress_chunk, pwrel_trace::noop())
-    }
-
-    /// [`ChunkedCodec::decompress`] with per-stage recording.
-    pub fn decompress_traced<F, D>(
-        &self,
-        bytes: &[u8],
-        decompress_chunk: D,
-        rec: &dyn Recorder,
-    ) -> Result<(Vec<F>, Dims), CodecError>
-    where
-        F: Float,
-        D: Fn(&[u8]) -> Result<(Vec<F>, Dims), CodecError> + Sync,
-    {
-        let _chunks = Span::enter(rec, stage::CHUNKS);
-        let mut input: &[u8] = bytes;
-        let header = stream::decode_stream_header(&mut input)?;
-        let mut sink = VecSink::new();
-        self.run_decompress(&header, &mut input, &mut sink, &decompress_chunk, rec)?;
-        if !input.is_empty() {
-            return Err(CodecError::Corrupt("trailing bytes after final frame"));
-        }
-        Ok((sink.into_inner(), header.dims))
-    }
-
-    /// Compresses in-memory data chunk-by-chunk through a registered
-    /// codec. The emitted stream is byte-identical to the registry's
-    /// sequential [`CodecRegistry::compress_stream`] at the same chunk
-    /// size, so either side can decode the other's output.
-    pub fn compress_with<F: PipelineElem>(
-        &self,
-        registry: &CodecRegistry,
-        codec: &str,
-        data: &[F],
-        dims: Dims,
-        opts: &CompressOpts,
-    ) -> Result<Vec<u8>, CodecError> {
-        self.compress_with_traced(registry, codec, data, dims, opts, pwrel_trace::noop())
-    }
-
-    /// [`ChunkedCodec::compress_with`] with per-stage recording: a
-    /// `chunks` span brackets the fan-out and each chunk records its
-    /// codec stages from whichever worker thread runs it. Emits the
-    /// same bytes.
-    pub fn compress_with_traced<F: PipelineElem>(
-        &self,
-        registry: &CodecRegistry,
-        codec: &str,
-        data: &[F],
-        dims: Dims,
-        opts: &CompressOpts,
-        rec: &dyn Recorder,
-    ) -> Result<Vec<u8>, CodecError> {
-        let c = registry
-            .by_name(codec)
-            .ok_or(CodecError::InvalidArgument("unknown codec name"))?;
-        if data.len() != dims.len() {
-            return Err(CodecError::InvalidArgument("data length != dims"));
-        }
-        let _chunks = Span::enter(rec, stage::CHUNKS);
-        let mut src = SliceSource::new(data);
-        let mut out = Vec::new();
-        self.run_compress(
-            c.id(),
-            c.entropy_mode(),
-            c.chunk_granularity(),
-            &mut src,
-            &mut out,
-            dims,
-            opts,
-            &|slice: &[F], d: Dims| F::codec_compress_traced(c, slice, d, opts, rec),
-            rec,
-        )?;
-        Ok(out)
-    }
-
-    /// Decompresses a framed stream whose codec is resolved from the
-    /// stream header via the registry.
-    pub fn decompress_with<F: PipelineElem>(
-        &self,
-        registry: &CodecRegistry,
-        bytes: &[u8],
-    ) -> Result<(Vec<F>, Dims), CodecError> {
-        self.decompress_with_traced(registry, bytes, pwrel_trace::noop())
-    }
-
-    /// [`ChunkedCodec::decompress_with`] with per-stage recording.
-    pub fn decompress_with_traced<F: PipelineElem>(
-        &self,
-        registry: &CodecRegistry,
-        bytes: &[u8],
-        rec: &dyn Recorder,
-    ) -> Result<(Vec<F>, Dims), CodecError> {
-        let _chunks = Span::enter(rec, stage::CHUNKS);
-        let mut input: &[u8] = bytes;
-        let header = stream::decode_stream_header(&mut input)?;
-        let codec = registry
-            .get(header.codec_id)
-            .ok_or(CodecError::InvalidArgument("unknown codec id in stream"))?;
-        let mut sink = VecSink::new();
-        self.run_decompress(
-            &header,
-            &mut input,
-            &mut sink,
-            &|p: &[u8]| F::codec_decompress_traced(codec, p, rec),
-            rec,
-        )?;
-        if !input.is_empty() {
-            return Err(CodecError::Corrupt("trailing bytes after final frame"));
-        }
-        Ok((sink.into_inner(), header.dims))
-    }
-
     /// The out-of-core entry point: compresses a chunk source into a
     /// framed stream on `out` with a registered codec, pipelined over
     /// the pool. Peak memory is about `window` chunks — the field is
-    /// never resident.
-    pub fn compress_stream<F: PipelineElem>(
-        &self,
-        registry: &CodecRegistry,
-        codec: &str,
-        src: &mut dyn ChunkSource<F>,
-        out: &mut dyn Write,
-        dims: Dims,
-        opts: &CompressOpts,
-    ) -> Result<StreamStats, CodecError> {
-        self.compress_stream_traced(registry, codec, src, out, dims, opts, pwrel_trace::noop())
-    }
-
-    /// [`ChunkedCodec::compress_stream`] with per-stage recording.
-    /// Emits the same bytes.
-    #[allow(clippy::too_many_arguments)] // mirrors compress_stream plus the recorder
+    /// never resident. Emits the same bytes as the registry's sequential
+    /// [`CodecRegistry::compress_stream_traced`] at the same chunk size;
+    /// the recorder only observes.
+    #[allow(clippy::too_many_arguments)] // the registry's signature plus the pool
     pub fn compress_stream_traced<F: PipelineElem>(
         &self,
         registry: &CodecRegistry,
@@ -447,32 +249,12 @@ impl ChunkedCodec {
             .by_name(codec)
             .ok_or(CodecError::InvalidArgument("unknown codec name"))?;
         let _root = Span::enter(rec, stage::STREAM_COMPRESS);
-        self.run_compress(
-            c.id(),
-            c.entropy_mode(),
-            c.chunk_granularity(),
-            src,
-            out,
-            dims,
-            opts,
-            &|slice: &[F], d: Dims| F::codec_compress_traced(c, slice, d, opts, rec),
-            rec,
-        )
+        self.run_compress(c, src, out, dims, opts, rec)
     }
 
     /// The out-of-core decode entry point: decompresses a framed stream
     /// from `input` into `sink`, pipelined over the pool, returning the
     /// stream header and the run counters.
-    pub fn decompress_stream<F: PipelineElem>(
-        &self,
-        registry: &CodecRegistry,
-        input: &mut dyn Read,
-        sink: &mut dyn ChunkSink<F>,
-    ) -> Result<(StreamHeader, StreamStats), CodecError> {
-        self.decompress_stream_traced(registry, input, sink, pwrel_trace::noop())
-    }
-
-    /// [`ChunkedCodec::decompress_stream`] with per-stage recording.
     pub fn decompress_stream_traced<F: PipelineElem>(
         &self,
         registry: &CodecRegistry,
@@ -506,26 +288,45 @@ impl ChunkedCodec {
         let codec = registry
             .get(header.codec_id)
             .ok_or(CodecError::InvalidArgument("unknown codec id in stream"))?;
-        self.run_decompress(
-            header,
-            input,
-            sink,
-            &|p: &[u8]| F::codec_decompress_traced(codec, p, rec),
-            rec,
-        )
+        self.run_decompress(codec, header, input, sink, rec)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pwrel_core::{LogBase, PwRelCompressor};
-    use pwrel_data::grf;
-    use pwrel_pipeline::{global, ReadSource, WriteSink};
-    use pwrel_sz::SzCompressor;
+    use pwrel_data::{grf, Float};
+    use pwrel_pipeline::{global, PipelineElem, ReadSource, SliceSource, VecSink, WriteSink};
+    use pwrel_trace::noop;
 
-    fn sz_t() -> PwRelCompressor<SzCompressor> {
-        PwRelCompressor::new(SzCompressor::default(), LogBase::Two)
+    /// A whole in-memory field through the pipelined compress engine.
+    fn compress<F: PipelineElem>(
+        chunked: &ChunkedCodec,
+        codec: &str,
+        data: &[F],
+        dims: Dims,
+        opts: &CompressOpts,
+    ) -> Result<Vec<u8>, CodecError> {
+        let mut out = Vec::new();
+        let mut src = SliceSource::new(data);
+        chunked.compress_stream_traced(global(), codec, &mut src, &mut out, dims, opts, noop())?;
+        Ok(out)
+    }
+
+    /// A whole framed stream through the pipelined decompress engine;
+    /// bytes after the final frame are an error.
+    fn decompress<F: PipelineElem>(
+        chunked: &ChunkedCodec,
+        bytes: &[u8],
+    ) -> Result<(Vec<F>, Dims), CodecError> {
+        let mut input = bytes;
+        let mut sink = VecSink::new();
+        let (header, _) =
+            chunked.decompress_stream_traced(global(), &mut input, &mut sink, noop())?;
+        if !input.is_empty() {
+            return Err(CodecError::Corrupt("trailing bytes after final frame"));
+        }
+        Ok((sink.into_inner(), header.dims))
     }
 
     #[test]
@@ -533,16 +334,11 @@ mod tests {
         let dims = Dims::d3(24, 16, 16);
         let data = grf::gaussian_field(dims, 42, 2, 2);
         let positive: Vec<f32> = data.iter().map(|v| v.abs() + 0.1).collect();
-        let codec = sz_t();
         // 6 slices of 256 elements per chunk -> 4 chunks.
         let chunked = ChunkedCodec::new(WorkerPool::new(4), 6 * 256);
         let br = 1e-3;
-        let stream = chunked
-            .compress(&positive, dims, |slice, d| codec.compress(slice, d, br))
-            .unwrap();
-        let (dec, d2) = chunked
-            .decompress::<f32, _>(&stream, |s| codec.decompress_full(s))
-            .unwrap();
+        let stream = compress(&chunked, "sz_t", &positive, dims, &CompressOpts::rel(br)).unwrap();
+        let (dec, d2) = decompress::<f32>(&chunked, &stream).unwrap();
         assert_eq!(d2, dims);
         for (&a, &b) in positive.iter().zip(&dec) {
             assert!(((a as f64 - b as f64) / a as f64).abs() <= br);
@@ -553,22 +349,16 @@ mod tests {
     fn chunked_output_is_deterministic_across_worker_counts() {
         let dims = Dims::d2(40, 32);
         let data = grf::gaussian_field(dims, 7, 3, 2);
-        let codec = sz_t();
-        let br = 1e-2;
+        let opts = CompressOpts::rel(1e-2);
         let one = ChunkedCodec::new(WorkerPool::new(1), 8 * 32);
         let four = ChunkedCodec::new(WorkerPool::new(4), 8 * 32);
-        let a = one
-            .compress(&data, dims, |s, d| codec.compress(s, d, br))
-            .unwrap();
-        let b = four
-            .compress(&data, dims, |s, d| codec.compress(s, d, br))
-            .unwrap();
+        let a = compress(&one, "sz_t", &data, dims, &opts).unwrap();
+        let b = compress(&four, "sz_t", &data, dims, &opts).unwrap();
         assert_eq!(a, b, "stream must not depend on scheduling");
     }
 
     #[test]
     fn pipelined_bytes_match_sequential_registry_stream() {
-        use pwrel_pipeline::CompressOpts;
         let dims = Dims::d2(32, 24);
         let data: Vec<f32> = grf::gaussian_field(dims, 3, 2, 2)
             .iter()
@@ -578,8 +368,7 @@ mod tests {
         let chunked = ChunkedCodec::new(WorkerPool::new(4), chunk_elems);
         let opts = CompressOpts::rel(1e-2);
         for codec in global().iter() {
-            let pipelined = chunked
-                .compress_with(global(), codec.name(), &data, dims, &opts)
+            let pipelined = compress(&chunked, codec.name(), &data, dims, &opts)
                 .unwrap_or_else(|e| panic!("{}: {e:?}", codec.name()));
             let mut sequential = Vec::new();
             let mut src = SliceSource::new(&data[..]);
@@ -606,14 +395,9 @@ mod tests {
     fn chunked_1d_and_partial_chunks() {
         let dims = Dims::d1(1001);
         let data: Vec<f32> = (0..1001).map(|i| (i as f32 + 2.0).ln()).collect();
-        let codec = sz_t();
         let chunked = ChunkedCodec::new(WorkerPool::new(3), 150);
-        let stream = chunked
-            .compress(&data, dims, |s, d| codec.compress(s, d, 1e-2))
-            .unwrap();
-        let (dec, _) = chunked
-            .decompress::<f32, _>(&stream, |s| codec.decompress_full(s))
-            .unwrap();
+        let stream = compress(&chunked, "sz_t", &data, dims, &CompressOpts::rel(1e-2)).unwrap();
+        let (dec, _) = decompress::<f32>(&chunked, &stream).unwrap();
         assert_eq!(dec.len(), data.len());
         for (&a, &b) in data.iter().zip(&dec) {
             assert!(((a - b) / a).abs() <= 1e-2);
@@ -624,10 +408,10 @@ mod tests {
     fn chunk_size_usage_errors_not_panics() {
         let dims = Dims::d2(16, 16);
         let data = vec![1.0f32; dims.len()];
-        let codec = sz_t();
+        let opts = CompressOpts::rel(1e-2);
         for bad in [0usize, dims.len() + 1, dims.len() * 10] {
             let chunked = ChunkedCodec::new(WorkerPool::new(2), bad);
-            let r = chunked.compress(&data, dims, |s, d| codec.compress(s, d, 1e-2));
+            let r = compress(&chunked, "sz_t", &data, dims, &opts);
             assert!(
                 matches!(r, Err(CodecError::InvalidArgument(_))),
                 "chunk_elems={bad} must be a usage error, got {r:?}"
@@ -635,14 +419,11 @@ mod tests {
         }
         // A full-field chunk is legal: exactly one frame.
         let chunked = ChunkedCodec::new(WorkerPool::new(2), dims.len());
-        assert!(chunked
-            .compress(&data, dims, |s, d| codec.compress(s, d, 1e-2))
-            .is_ok());
+        assert!(compress(&chunked, "sz_t", &data, dims, &opts).is_ok());
     }
 
     #[test]
     fn registry_round_trip_every_codec() {
-        use pwrel_pipeline::CompressOpts;
         let dims = Dims::d2(24, 32);
         let data: Vec<f32> = grf::gaussian_field(dims, 11, 2, 2)
             .iter()
@@ -651,11 +432,9 @@ mod tests {
         let chunked = ChunkedCodec::new(WorkerPool::new(3), 6 * 32);
         let opts = CompressOpts::rel(1e-2);
         for codec in global().iter() {
-            let stream = chunked
-                .compress_with(global(), codec.name(), &data, dims, &opts)
+            let stream = compress(&chunked, codec.name(), &data, dims, &opts)
                 .unwrap_or_else(|e| panic!("{}: {e:?}", codec.name()));
-            let (dec, d2) = chunked
-                .decompress_with::<f32>(global(), &stream)
+            let (dec, d2) = decompress::<f32>(&chunked, &stream)
                 .unwrap_or_else(|e| panic!("{}: {e:?}", codec.name()));
             assert_eq!(d2, dims, "{}", codec.name());
             assert_eq!(dec.len(), data.len(), "{}", codec.name());
@@ -668,7 +447,6 @@ mod tests {
 
     #[test]
     fn out_of_core_round_trip_via_read_write() {
-        use pwrel_pipeline::CompressOpts;
         let dims = Dims::d3(16, 8, 8);
         let data: Vec<f32> = grf::gaussian_field(dims, 9, 2, 2)
             .iter()
@@ -685,7 +463,15 @@ mod tests {
         let mut src: ReadSource<&[u8]> = ReadSource::new(&le[..]);
         let mut stream_bytes = Vec::new();
         let stats = chunked
-            .compress_stream::<f32>(global(), "sz_t", &mut src, &mut stream_bytes, dims, &opts)
+            .compress_stream_traced::<f32>(
+                global(),
+                "sz_t",
+                &mut src,
+                &mut stream_bytes,
+                dims,
+                &opts,
+                noop(),
+            )
             .unwrap();
         assert_eq!(stats.chunks, 4);
         assert_eq!(stats.elements, dims.len() as u64);
@@ -695,7 +481,7 @@ mod tests {
         let mut input: &[u8] = &stream_bytes;
         let mut sink: WriteSink<Vec<u8>> = WriteSink::new(Vec::new());
         let (header, _) = chunked
-            .decompress_stream::<f32>(global(), &mut input, &mut sink)
+            .decompress_stream_traced::<f32>(global(), &mut input, &mut sink, noop())
             .unwrap();
         assert_eq!(header.dims, dims);
         assert!(input.is_empty(), "reader must stop at the final frame");
@@ -709,8 +495,7 @@ mod tests {
 
     #[test]
     fn traced_chunked_round_trip_records_fanout() {
-        use pwrel_pipeline::CompressOpts;
-        use pwrel_trace::{stage, TraceSink};
+        use pwrel_trace::TraceSink;
         let dims = Dims::d2(40, 32);
         let data: Vec<f32> = grf::gaussian_field(dims, 5, 2, 2)
             .iter()
@@ -719,23 +504,32 @@ mod tests {
         let chunked = ChunkedCodec::new(WorkerPool::new(4), 10 * 32);
         let opts = CompressOpts::rel(1e-2);
         let sink = TraceSink::new();
-        let stream = chunked
-            .compress_with_traced(global(), "sz_t", &data, dims, &opts, &sink)
+        let mut stream = Vec::new();
+        chunked
+            .compress_stream_traced(
+                global(),
+                "sz_t",
+                &mut SliceSource::new(&data[..]),
+                &mut stream,
+                dims,
+                &opts,
+                &sink,
+            )
             .unwrap();
-        let plain = chunked
-            .compress_with(global(), "sz_t", &data, dims, &opts)
-            .unwrap();
+        let plain = compress(&chunked, "sz_t", &data, dims, &opts).unwrap();
         assert_eq!(stream, plain, "tracing must not change the stream");
-        let (dec, d2) = chunked
-            .decompress_with_traced::<f32>(global(), &stream, &sink)
+        let mut dec = VecSink::<f32>::new();
+        let (header, _) = chunked
+            .decompress_stream_traced(global(), &mut &stream[..], &mut dec, &sink)
             .unwrap();
-        assert_eq!(d2, dims);
-        assert_eq!(dec.len(), data.len());
+        assert_eq!(header.dims, dims);
+        assert_eq!(dec.into_inner().len(), data.len());
 
         let rows = pwrel_trace::export::stage_rows(&sink);
-        // Two chunks spans (one per direction), one chunk span per frame
-        // per direction, pool tasks from both pipelined fan-outs.
-        assert_eq!(rows[stage::CHUNKS].calls, 2);
+        // One root span per direction, one chunk span per frame per
+        // direction, pool tasks from both pipelined fan-outs.
+        assert_eq!(rows[stage::STREAM_COMPRESS].calls, 1);
+        assert_eq!(rows[stage::STREAM_DECOMPRESS].calls, 1);
         assert_eq!(rows[stage::CHUNK_COMPRESS].calls, 4);
         assert_eq!(rows[stage::CHUNK_DECOMPRESS].calls, 4);
         let counters: std::collections::BTreeMap<_, _> = sink.counters().into_iter().collect();
@@ -753,24 +547,18 @@ mod tests {
     fn corrupt_stream_rejected() {
         let dims = Dims::d1(100);
         let data = vec![1.5f32; 100];
-        let codec = sz_t();
         let chunked = ChunkedCodec::new(WorkerPool::new(2), 25);
-        let stream = chunked
-            .compress(&data, dims, |s, d| codec.compress(s, d, 1e-2))
-            .unwrap();
-        let dec = |s: &[u8]| codec.decompress_full::<f32>(s);
-        assert!(chunked.decompress::<f32, _>(&stream[..10], dec).is_err());
+        let stream = compress(&chunked, "sz_t", &data, dims, &CompressOpts::rel(1e-2)).unwrap();
+        assert!(decompress::<f32>(&chunked, &stream[..10]).is_err());
         let mut bad = stream.clone();
         bad[0] = b'X';
-        assert!(chunked.decompress::<f32, _>(&bad, dec).is_err());
+        assert!(decompress::<f32>(&chunked, &bad).is_err());
         // f64 element type mismatch.
-        assert!(chunked
-            .decompress::<f64, _>(&stream, |s| codec.decompress_full::<f64>(s))
-            .is_err());
+        assert!(decompress::<f64>(&chunked, &stream).is_err());
         // Truncation after a whole frame must still be caught.
         for cut in [stream.len() - 1, stream.len() / 2] {
             assert!(
-                chunked.decompress::<f32, _>(&stream[..cut], dec).is_err(),
+                decompress::<f32>(&chunked, &stream[..cut]).is_err(),
                 "cut={cut}"
             );
         }
@@ -783,12 +571,10 @@ mod tests {
             .iter()
             .map(|v| v.abs() + 0.5)
             .collect();
-        let codec = sz_t();
-        let whole = codec.compress(&data, dims, 1e-2).unwrap();
+        let opts = CompressOpts::rel(1e-2);
+        let whole = global().compress("sz_t", &data, dims, &opts).unwrap();
         let chunked = ChunkedCodec::new(WorkerPool::new(4), dims.len() / 8);
-        let split = chunked
-            .compress(&data, dims, |s, d| codec.compress(s, d, 1e-2))
-            .unwrap();
+        let split = compress(&chunked, "sz_t", &data, dims, &opts).unwrap();
         assert!(
             split.len() < whole.len() * 2,
             "{} vs {}",

@@ -21,6 +21,12 @@
 //! *different* chunks execute concurrently without the whole stream ever
 //! being resident (backpressure pauses the producer when the window is
 //! full).
+//!
+//! Submission is exclusive: a `map` or `pipeline` call holds the pool's
+//! submit lock until it returns, so a task that submits to its own pool
+//! deadlocks. Parallelism therefore lives at one level — the chunk
+//! pipeline fans whole frames out to workers, and each frame decodes on
+//! one thread.
 
 use std::cell::UnsafeCell;
 use std::collections::{BTreeMap, VecDeque};
@@ -645,46 +651,10 @@ impl WorkerPool {
     }
 }
 
-impl pwrel_data::LaneExecutor for WorkerPool {
-    /// Fans the lane closures across the pool via [`WorkerPool::map`].
-    ///
-    /// Must only be called from a thread *outside* the pool's workers: a
-    /// `map` call serializes on the pool's submit lock, which is held for
-    /// the whole duration of any in-flight `map`/`pipeline`, so nested
-    /// submission from a worker thread deadlocks. The codec plumbing
-    /// honors this by routing pooled lane decode only through the
-    /// sequential engines, never from inside `ChunkedCodec` worker tasks.
-    fn run_lanes(&self, lanes: &mut [&mut (dyn FnMut() + Send)]) {
-        let tasks: Vec<&mut (dyn FnMut() + Send)> = lanes.iter_mut().map(|l| &mut **l).collect();
-        self.map(tasks, |lane| lane());
-    }
-
-    fn width(&self) -> usize {
-        self.workers()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn lane_executor_runs_all_lanes_on_the_pool() {
-        use pwrel_data::LaneExecutor;
-        let pool = WorkerPool::new(4);
-        assert_eq!(LaneExecutor::width(&pool), 4);
-        let mut hits = [0u32; 4];
-        {
-            let [h0, h1, h2, h3] = &mut hits;
-            let mut l0 = || *h0 += 1;
-            let mut l1 = || *h1 += 2;
-            let mut l2 = || *h2 += 3;
-            let mut l3 = || *h3 += 4;
-            pool.run_lanes(&mut [&mut l0, &mut l1, &mut l2, &mut l3]);
-        }
-        assert_eq!(hits, [1, 2, 3, 4]);
-    }
 
     #[test]
     fn results_keep_input_order() {

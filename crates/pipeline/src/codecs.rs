@@ -3,88 +3,66 @@
 //! Compression for the transform-wrapped codecs goes through the fused
 //! single-pass entry point (`compress_fused` — transform, prediction and
 //! quantization in one streaming sweep); its stream is byte-identical to
-//! the buffered route, so the PR 1 fast path survives registry dispatch
-//! unchanged. Decompression reads everything it needs from the payload
-//! itself — the adapters carry no decode-time state.
+//! the buffered route. Decompression reads everything it needs from the
+//! payload itself — the adapters carry no decode-time state. Each adapter
+//! writes its two directions once and picks the element type with one
+//! `match` per call.
 
-use crate::codec::{Codec, CompressOpts};
-use pwrel_core::{LogBase, PwRelCompressor};
-use pwrel_data::{CodecError, Dims, Float};
+use crate::codec::{Codec, CompressOpts, ElemType, ElemVec, Elems};
+use pwrel_core::{Kernel, LogBase, PwRelCompressor};
+use pwrel_data::{AbsErrorCodec, CodecError, Dims};
 use pwrel_fpzip::FpzipCompressor;
 use pwrel_isabela::IsabelaCompressor;
+use pwrel_kernels::LogFusedCodec;
 use pwrel_sz::SzCompressor;
-use pwrel_trace::{noop, stage, Recorder, Span};
+use pwrel_trace::{stage, Recorder, Span};
 use pwrel_zfp::ZfpCompressor;
 
-/// Generates the boilerplate that bridges the monomorphic `Codec`
-/// methods onto one generic pair of recorder-taking functions. The
-/// plain methods pass the no-op recorder; the `*_traced` variants
-/// thread the caller's recorder through — same code path either way,
-/// so the traced route cannot drift from the untraced one.
-macro_rules! dispatch_elem {
-    () => {
-        fn compress_f32(
-            &self,
-            data: &[f32],
-            dims: Dims,
-            opts: &CompressOpts,
-        ) -> Result<Vec<u8>, CodecError> {
-            self.compress_impl(data, dims, opts, noop())
-        }
+/// Erases the element type of a typed decode result.
+fn erased<F>(r: Result<(Vec<F>, Dims), CodecError>) -> Result<(ElemVec, Dims), CodecError>
+where
+    ElemVec: From<Vec<F>>,
+{
+    r.map(|(v, dims)| (v.into(), dims))
+}
 
-        fn compress_f64(
-            &self,
-            data: &[f64],
-            dims: Dims,
-            opts: &CompressOpts,
-        ) -> Result<Vec<u8>, CodecError> {
-            self.compress_impl(data, dims, opts, noop())
-        }
+/// The paper's transform scheme around `inner`, compressed through the
+/// fused single-pass sweep.
+fn compress_t<C>(
+    inner: C,
+    data: Elems<'_>,
+    dims: Dims,
+    opts: &CompressOpts,
+    rec: &dyn Recorder,
+) -> Result<Vec<u8>, CodecError>
+where
+    C: LogFusedCodec<f32> + LogFusedCodec<f64>,
+{
+    let c = PwRelCompressor::new(inner, opts.base);
+    let kernel = Kernel::from_env();
+    match data {
+        Elems::F32(d) => c.compress_fused(d, dims, opts.bound, kernel, rec),
+        Elems::F64(d) => c.compress_fused(d, dims, opts.bound, kernel, rec),
+    }
+}
 
-        fn decompress_f32(&self, payload: &[u8]) -> Result<(Vec<f32>, Dims), CodecError> {
-            self.decompress_impl(payload, noop())
-        }
-
-        fn decompress_f64(&self, payload: &[u8]) -> Result<(Vec<f64>, Dims), CodecError> {
-            self.decompress_impl(payload, noop())
-        }
-
-        fn compress_f32_traced(
-            &self,
-            data: &[f32],
-            dims: Dims,
-            opts: &CompressOpts,
-            rec: &dyn Recorder,
-        ) -> Result<Vec<u8>, CodecError> {
-            self.compress_impl(data, dims, opts, rec)
-        }
-
-        fn compress_f64_traced(
-            &self,
-            data: &[f64],
-            dims: Dims,
-            opts: &CompressOpts,
-            rec: &dyn Recorder,
-        ) -> Result<Vec<u8>, CodecError> {
-            self.compress_impl(data, dims, opts, rec)
-        }
-
-        fn decompress_f32_traced(
-            &self,
-            payload: &[u8],
-            rec: &dyn Recorder,
-        ) -> Result<(Vec<f32>, Dims), CodecError> {
-            self.decompress_impl(payload, rec)
-        }
-
-        fn decompress_f64_traced(
-            &self,
-            payload: &[u8],
-            rec: &dyn Recorder,
-        ) -> Result<(Vec<f64>, Dims), CodecError> {
-            self.decompress_impl(payload, rec)
-        }
-    };
+/// Decodes a [`compress_t`] payload around `inner`.
+fn decompress_t<C>(
+    inner: C,
+    payload: &[u8],
+    elem: ElemType,
+    rec: &dyn Recorder,
+) -> Result<(ElemVec, Dims), CodecError>
+where
+    C: AbsErrorCodec<f32> + AbsErrorCodec<f64>,
+{
+    // The base is read from the payload; the constructor's base is a
+    // compile-side default.
+    let c = PwRelCompressor::new(inner, LogBase::Two);
+    match elem {
+        ElemType::F32 => erased(c.decompress_full::<f32>(payload, rec)),
+        ElemType::F64 => erased(c.decompress_full::<f64>(payload, rec)),
+    }
 }
 
 /// SZ_T / SZ_HYBRID_T: the paper's transform scheme around the SZ-like
@@ -101,36 +79,6 @@ impl SzT {
             hybrid_predictor: self.hybrid,
             ..SzCompressor::default()
         }
-    }
-
-    fn compress_impl<F: Float>(
-        &self,
-        data: &[F],
-        dims: Dims,
-        opts: &CompressOpts,
-        rec: &dyn Recorder,
-    ) -> Result<Vec<u8>, CodecError> {
-        PwRelCompressor::new(self.config(), opts.base)
-            .compress_fused_traced(data, dims, opts.bound, rec)
-    }
-
-    fn decompress_impl<F: Float>(
-        &self,
-        payload: &[u8],
-        rec: &dyn Recorder,
-    ) -> Result<(Vec<F>, Dims), CodecError> {
-        // The base is read from the payload; the constructor's base is a
-        // compile-side default.
-        PwRelCompressor::new(self.config(), LogBase::Two).decompress_full_traced(payload, rec)
-    }
-
-    fn decompress_pooled_impl<F: Float>(
-        &self,
-        payload: &[u8],
-        rec: &dyn Recorder,
-        exec: &dyn pwrel_data::LaneExecutor,
-    ) -> Result<(Vec<F>, Dims), CodecError> {
-        PwRelCompressor::new(self.config(), LogBase::Two).decompress_full_pooled(payload, rec, exec)
     }
 }
 
@@ -179,51 +127,29 @@ impl Codec for SzT {
         crate::container::ENTROPY_MODE_INTERLEAVED
     }
 
-    fn decompress_f32_pooled(
+    fn compress(
         &self,
-        payload: &[u8],
+        data: Elems<'_>,
+        dims: Dims,
+        opts: &CompressOpts,
         rec: &dyn Recorder,
-        exec: &dyn pwrel_data::LaneExecutor,
-    ) -> Result<(Vec<f32>, Dims), CodecError> {
-        self.decompress_pooled_impl(payload, rec, exec)
+    ) -> Result<Vec<u8>, CodecError> {
+        compress_t(self.config(), data, dims, opts, rec)
     }
 
-    fn decompress_f64_pooled(
+    fn decompress(
         &self,
         payload: &[u8],
+        elem: ElemType,
         rec: &dyn Recorder,
-        exec: &dyn pwrel_data::LaneExecutor,
-    ) -> Result<(Vec<f64>, Dims), CodecError> {
-        self.decompress_pooled_impl(payload, rec, exec)
+    ) -> Result<(ElemVec, Dims), CodecError> {
+        decompress_t(self.config(), payload, elem, rec)
     }
-
-    dispatch_elem!();
 }
 
 /// ZFP_T: the transform scheme around the ZFP-like codec.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ZfpT;
-
-impl ZfpT {
-    fn compress_impl<F: Float>(
-        &self,
-        data: &[F],
-        dims: Dims,
-        opts: &CompressOpts,
-        rec: &dyn Recorder,
-    ) -> Result<Vec<u8>, CodecError> {
-        PwRelCompressor::new(ZfpCompressor, opts.base)
-            .compress_fused_traced(data, dims, opts.bound, rec)
-    }
-
-    fn decompress_impl<F: Float>(
-        &self,
-        payload: &[u8],
-        rec: &dyn Recorder,
-    ) -> Result<(Vec<F>, Dims), CodecError> {
-        PwRelCompressor::new(ZfpCompressor, LogBase::Two).decompress_full_traced(payload, rec)
-    }
-}
 
 impl Codec for ZfpT {
     fn id(&self) -> u8 {
@@ -253,43 +179,30 @@ impl Codec for ZfpT {
         4
     }
 
-    dispatch_elem!();
+    fn compress(
+        &self,
+        data: Elems<'_>,
+        dims: Dims,
+        opts: &CompressOpts,
+        rec: &dyn Recorder,
+    ) -> Result<Vec<u8>, CodecError> {
+        compress_t(ZfpCompressor, data, dims, opts, rec)
+    }
+
+    fn decompress(
+        &self,
+        payload: &[u8],
+        elem: ElemType,
+        rec: &dyn Recorder,
+    ) -> Result<(ElemVec, Dims), CodecError> {
+        decompress_t(ZfpCompressor, payload, elem, rec)
+    }
 }
 
 /// Bare SZ with an absolute bound (`opts.bound` is absolute, not
 /// relative).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SzAbs;
-
-impl SzAbs {
-    fn compress_impl<F: Float>(
-        &self,
-        data: &[F],
-        dims: Dims,
-        opts: &CompressOpts,
-        rec: &dyn Recorder,
-    ) -> Result<Vec<u8>, CodecError> {
-        use pwrel_data::AbsErrorCodec;
-        SzCompressor::default().compress_abs_traced(data, dims, opts.bound, rec)
-    }
-
-    fn decompress_impl<F: Float>(
-        &self,
-        payload: &[u8],
-        rec: &dyn Recorder,
-    ) -> Result<(Vec<F>, Dims), CodecError> {
-        SzCompressor::default().decompress_traced(payload, rec)
-    }
-
-    fn decompress_pooled_impl<F: Float>(
-        &self,
-        payload: &[u8],
-        rec: &dyn Recorder,
-        exec: &dyn pwrel_data::LaneExecutor,
-    ) -> Result<(Vec<F>, Dims), CodecError> {
-        SzCompressor::default().decompress_pooled(payload, rec, exec)
-    }
-}
 
 impl Codec for SzAbs {
     fn id(&self) -> u8 {
@@ -312,54 +225,37 @@ impl Codec for SzAbs {
         crate::container::ENTROPY_MODE_INTERLEAVED
     }
 
-    fn decompress_f32_pooled(
+    fn compress(
         &self,
-        payload: &[u8],
+        data: Elems<'_>,
+        dims: Dims,
+        opts: &CompressOpts,
         rec: &dyn Recorder,
-        exec: &dyn pwrel_data::LaneExecutor,
-    ) -> Result<(Vec<f32>, Dims), CodecError> {
-        self.decompress_pooled_impl(payload, rec, exec)
+    ) -> Result<Vec<u8>, CodecError> {
+        let sz = SzCompressor::default();
+        match data {
+            Elems::F32(d) => sz.compress_abs_traced(d, dims, opts.bound, rec),
+            Elems::F64(d) => sz.compress_abs_traced(d, dims, opts.bound, rec),
+        }
     }
 
-    fn decompress_f64_pooled(
+    fn decompress(
         &self,
         payload: &[u8],
+        elem: ElemType,
         rec: &dyn Recorder,
-        exec: &dyn pwrel_data::LaneExecutor,
-    ) -> Result<(Vec<f64>, Dims), CodecError> {
-        self.decompress_pooled_impl(payload, rec, exec)
+    ) -> Result<(ElemVec, Dims), CodecError> {
+        let sz = SzCompressor::default();
+        match elem {
+            ElemType::F32 => erased(sz.decompress_traced::<f32>(payload, rec)),
+            ElemType::F64 => erased(sz.decompress_traced::<f64>(payload, rec)),
+        }
     }
-
-    dispatch_elem!();
 }
 
 /// SZ 1.4's blockwise point-wise-relative mode (the paper's baseline).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SzPwr;
-
-impl SzPwr {
-    fn compress_impl<F: Float>(
-        &self,
-        data: &[F],
-        dims: Dims,
-        opts: &CompressOpts,
-        rec: &dyn Recorder,
-    ) -> Result<Vec<u8>, CodecError> {
-        // PWR routes per-block through internal engines; not internally
-        // instrumented, so it reports as one encode stage.
-        let _enc = Span::enter(rec, stage::ENCODE);
-        SzCompressor::default().compress_pwr(data, dims, opts.bound)
-    }
-
-    fn decompress_impl<F: Float>(
-        &self,
-        payload: &[u8],
-        rec: &dyn Recorder,
-    ) -> Result<(Vec<F>, Dims), CodecError> {
-        let _enc = Span::enter(rec, stage::ENCODE);
-        SzCompressor::default().decompress(payload)
-    }
-}
 
 impl Codec for SzPwr {
     fn id(&self) -> u8 {
@@ -382,34 +278,41 @@ impl Codec for SzPwr {
         crate::container::ENTROPY_MODE_INTERLEAVED
     }
 
-    dispatch_elem!();
+    fn compress(
+        &self,
+        data: Elems<'_>,
+        dims: Dims,
+        opts: &CompressOpts,
+        rec: &dyn Recorder,
+    ) -> Result<Vec<u8>, CodecError> {
+        // PWR routes per-block through internal engines; not internally
+        // instrumented, so it reports as one encode stage.
+        let _enc = Span::enter(rec, stage::ENCODE);
+        let sz = SzCompressor::default();
+        match data {
+            Elems::F32(d) => sz.compress_pwr(d, dims, opts.bound),
+            Elems::F64(d) => sz.compress_pwr(d, dims, opts.bound),
+        }
+    }
+
+    fn decompress(
+        &self,
+        payload: &[u8],
+        elem: ElemType,
+        rec: &dyn Recorder,
+    ) -> Result<(ElemVec, Dims), CodecError> {
+        let _enc = Span::enter(rec, stage::ENCODE);
+        let sz = SzCompressor::default();
+        match elem {
+            ElemType::F32 => erased(sz.decompress::<f32>(payload)),
+            ElemType::F64 => erased(sz.decompress::<f64>(payload)),
+        }
+    }
 }
 
 /// FPZIP at the precision matching the requested relative bound.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Fpzip;
-
-impl Fpzip {
-    fn compress_impl<F: Float>(
-        &self,
-        data: &[F],
-        dims: Dims,
-        opts: &CompressOpts,
-        rec: &dyn Recorder,
-    ) -> Result<Vec<u8>, CodecError> {
-        let _enc = Span::enter(rec, stage::ENCODE);
-        FpzipCompressor::for_rel_bound::<F>(opts.bound).compress(data, dims)
-    }
-
-    fn decompress_impl<F: Float>(
-        &self,
-        payload: &[u8],
-        rec: &dyn Recorder,
-    ) -> Result<(Vec<F>, Dims), CodecError> {
-        let _enc = Span::enter(rec, stage::ENCODE);
-        pwrel_fpzip::decompress(payload)
-    }
-}
 
 impl Codec for Fpzip {
     fn id(&self) -> u8 {
@@ -432,34 +335,37 @@ impl Codec for Fpzip {
         crate::container::ENTROPY_MODE_INTERLEAVED
     }
 
-    dispatch_elem!();
-}
-
-/// ISABELA B-spline fitting with a point-wise relative bound.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Isabela;
-
-impl Isabela {
-    fn compress_impl<F: Float>(
+    fn compress(
         &self,
-        data: &[F],
+        data: Elems<'_>,
         dims: Dims,
         opts: &CompressOpts,
         rec: &dyn Recorder,
     ) -> Result<Vec<u8>, CodecError> {
         let _enc = Span::enter(rec, stage::ENCODE);
-        IsabelaCompressor::default().compress_rel(data, dims, opts.bound)
+        match data {
+            Elems::F32(d) => FpzipCompressor::for_rel_bound::<f32>(opts.bound).compress(d, dims),
+            Elems::F64(d) => FpzipCompressor::for_rel_bound::<f64>(opts.bound).compress(d, dims),
+        }
     }
 
-    fn decompress_impl<F: Float>(
+    fn decompress(
         &self,
         payload: &[u8],
+        elem: ElemType,
         rec: &dyn Recorder,
-    ) -> Result<(Vec<F>, Dims), CodecError> {
+    ) -> Result<(ElemVec, Dims), CodecError> {
         let _enc = Span::enter(rec, stage::ENCODE);
-        pwrel_isabela::decompress(payload)
+        match elem {
+            ElemType::F32 => erased(pwrel_fpzip::decompress::<f32>(payload)),
+            ElemType::F64 => erased(pwrel_fpzip::decompress::<f64>(payload)),
+        }
     }
 }
+
+/// ISABELA B-spline fitting with a point-wise relative bound.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Isabela;
 
 impl Codec for Isabela {
     fn id(&self) -> u8 {
@@ -482,38 +388,39 @@ impl Codec for Isabela {
         crate::container::ENTROPY_MODE_INTERLEAVED
     }
 
-    dispatch_elem!();
+    fn compress(
+        &self,
+        data: Elems<'_>,
+        dims: Dims,
+        opts: &CompressOpts,
+        rec: &dyn Recorder,
+    ) -> Result<Vec<u8>, CodecError> {
+        let _enc = Span::enter(rec, stage::ENCODE);
+        let isabela = IsabelaCompressor::default();
+        match data {
+            Elems::F32(d) => isabela.compress_rel(d, dims, opts.bound),
+            Elems::F64(d) => isabela.compress_rel(d, dims, opts.bound),
+        }
+    }
+
+    fn decompress(
+        &self,
+        payload: &[u8],
+        elem: ElemType,
+        rec: &dyn Recorder,
+    ) -> Result<(ElemVec, Dims), CodecError> {
+        let _enc = Span::enter(rec, stage::ENCODE);
+        match elem {
+            ElemType::F32 => erased(pwrel_isabela::decompress::<f32>(payload)),
+            ElemType::F64 => erased(pwrel_isabela::decompress::<f64>(payload)),
+        }
+    }
 }
 
 /// Bare ZFP at the fixed precision matching the requested relative
 /// bound (no point-wise guarantee; kept for the paper's comparisons).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ZfpP;
-
-impl ZfpP {
-    fn compress_impl<F: Float>(
-        &self,
-        data: &[F],
-        dims: Dims,
-        opts: &CompressOpts,
-        rec: &dyn Recorder,
-    ) -> Result<Vec<u8>, CodecError> {
-        ZfpCompressor.compress_precision_traced(
-            data,
-            dims,
-            pwrel_zfp::precision_for_rel_bound(opts.bound),
-            rec,
-        )
-    }
-
-    fn decompress_impl<F: Float>(
-        &self,
-        payload: &[u8],
-        rec: &dyn Recorder,
-    ) -> Result<(Vec<F>, Dims), CodecError> {
-        ZfpCompressor.decompress_traced(payload, rec)
-    }
-}
 
 impl Codec for ZfpP {
     fn id(&self) -> u8 {
@@ -537,5 +444,29 @@ impl Codec for ZfpP {
         4
     }
 
-    dispatch_elem!();
+    fn compress(
+        &self,
+        data: Elems<'_>,
+        dims: Dims,
+        opts: &CompressOpts,
+        rec: &dyn Recorder,
+    ) -> Result<Vec<u8>, CodecError> {
+        let precision = pwrel_zfp::precision_for_rel_bound(opts.bound);
+        match data {
+            Elems::F32(d) => ZfpCompressor.compress_precision_traced(d, dims, precision, rec),
+            Elems::F64(d) => ZfpCompressor.compress_precision_traced(d, dims, precision, rec),
+        }
+    }
+
+    fn decompress(
+        &self,
+        payload: &[u8],
+        elem: ElemType,
+        rec: &dyn Recorder,
+    ) -> Result<(ElemVec, Dims), CodecError> {
+        match elem {
+            ElemType::F32 => erased(ZfpCompressor.decompress_traced::<f32>(payload, rec)),
+            ElemType::F64 => erased(ZfpCompressor.decompress_traced::<f64>(payload, rec)),
+        }
+    }
 }

@@ -8,8 +8,9 @@
 //! absolute-error-bounded compressor — and this crate is where that
 //! genericity becomes operational:
 //!
-//! * [`Codec`] is the object-safe whole-codec contract (monomorphic
-//!   `f32`/`f64` entry points so registries can hold `Box<dyn Codec>`),
+//! * [`Codec`] is the object-safe whole-codec contract: one `compress`
+//!   and one `decompress`, element type erased at the boundary so
+//!   registries can hold `Box<dyn Codec>`,
 //! * [`CodecRegistry`] maps codec ids and names to implementations and
 //!   owns the compress/decompress dispatch,
 //! * [`container`] defines the one versioned self-describing outer
@@ -20,8 +21,7 @@
 //! * [`stream`] is the framed streaming layer: a stream header plus
 //!   self-describing per-chunk frames so whole fields compress and
 //!   decompress through chunk sources/sinks with bounded memory
-//!   (`compress_stream`/`decompress_stream` on [`Codec`] and
-//!   [`CodecRegistry`]).
+//!   (`compress_stream`/`decompress_stream` on [`CodecRegistry`]).
 //!
 //! The stage traits the codecs are assembled from (`Transform`,
 //! `Predictor`, `Quantizer`, `Encoder`, `LosslessStage`, …) live in
@@ -35,7 +35,7 @@ pub mod legacy;
 pub mod registry;
 pub mod stream;
 
-pub use codec::{Codec, CompressOpts, PipelineElem};
+pub use codec::{Codec, CompressOpts, ElemType, ElemVec, Elems, PipelineElem};
 pub use container::{
     ContainerHeader, CONTAINER_MAGIC, CONTAINER_VERSION, ENTROPY_MODE_INTERLEAVED,
     ENTROPY_MODE_SINGLE,

@@ -36,10 +36,17 @@ impl CodecRegistry {
         r
     }
 
-    /// Adds a codec. Panics if its id or name collides with an existing
-    /// entry — registration is a startup-time act and a collision is a
-    /// programming error, not a runtime condition.
+    /// Adds a codec. Panics if its id is the reserved
+    /// [`stream::EXTERNAL_CODEC_ID`] or its id or name collides with an
+    /// existing entry — registration is a startup-time act and a
+    /// collision is a programming error, not a runtime condition.
     pub fn register(&mut self, codec: Box<dyn Codec>) {
+        assert_ne!(
+            codec.id(),
+            stream::EXTERNAL_CODEC_ID,
+            "codec id {} is reserved",
+            stream::EXTERNAL_CODEC_ID
+        );
         assert!(
             self.get(codec.id()).is_none(),
             "codec id {} registered twice",
@@ -111,7 +118,7 @@ impl CodecRegistry {
                 (data.len() * (F::BITS as usize / 8)) as u64,
             );
         }
-        let payload = F::codec_compress_traced(codec, data, dims, opts, rec)?;
+        let payload = codec.compress(F::erase(data), dims, opts, rec)?;
         let header = ContainerHeader {
             version: CONTAINER_VERSION,
             codec_id: codec.id(),
@@ -163,7 +170,7 @@ impl CodecRegistry {
             .by_name(name)
             .ok_or(CodecError::InvalidArgument("unknown codec name"))?;
         let _root = Span::enter(rec, stage::STREAM_COMPRESS);
-        F::codec_compress_stream(codec, src, out, dims, opts, chunk_elems, rec)
+        stream::compress_frames_with(codec, src, out, dims, opts, chunk_elems, rec)
     }
 
     /// Decompresses a framed stream from `input` into `sink`, chunk by
@@ -210,43 +217,7 @@ impl CodecRegistry {
         let codec = self
             .get(header.codec_id)
             .ok_or(CodecError::InvalidArgument("unknown codec id in stream"))?;
-        F::codec_decompress_stream(codec, header, input, sink, rec)
-    }
-
-    /// [`CodecRegistry::decompress_stream_traced`] with intra-chunk
-    /// fan-out: the frames are still read and decoded strictly in order
-    /// on the calling thread, but each chunk's independently addressable
-    /// entropy sub-streams decode through `exec` (e.g. the worker pool).
-    /// The complement of the chunk-parallel engine in `pwrel-parallel`:
-    /// use that one when there are many chunks, this one when a few
-    /// large chunks leave workers idle. Output is byte-identical to the
-    /// sequential engine for any executor.
-    ///
-    /// When `exec` is a worker pool, this must be called from outside
-    /// any pool task — nested submission deadlocks.
-    pub fn decompress_stream_pooled<F: PipelineElem>(
-        &self,
-        input: &mut dyn std::io::Read,
-        sink: &mut dyn ChunkSink<F>,
-        rec: &dyn Recorder,
-        exec: &dyn pwrel_data::LaneExecutor,
-    ) -> Result<(StreamHeader, StreamStats), CodecError> {
-        let _root = Span::enter(rec, stage::STREAM_DECOMPRESS);
-        let header = stream::decode_stream_header(input)?;
-        if header.elem_bits as u32 != F::BITS {
-            return Err(CodecError::Mismatch("element type does not match stream"));
-        }
-        let codec = self
-            .get(header.codec_id)
-            .ok_or(CodecError::InvalidArgument("unknown codec id in stream"))?;
-        let stats = stream::decompress_frames_with(
-            &header,
-            input,
-            sink,
-            &mut |payload| F::codec_decompress_pooled(codec, payload, rec, exec),
-            rec,
-        )?;
-        Ok((header, stats))
+        stream::decompress_frames_with(codec, header, input, sink, rec)
     }
 
     /// Decompresses a unified container, a framed stream, or (by legacy
@@ -294,7 +265,8 @@ impl CodecRegistry {
         let codec = self
             .get(header.codec_id)
             .ok_or(CodecError::InvalidArgument("unknown codec id in container"))?;
-        let (data, dims) = F::codec_decompress_traced(codec, payload, rec)?;
+        let (data, dims) = codec.decompress(payload, F::ELEM, rec)?;
+        let data = F::unerase(data)?;
         if dims != header.dims {
             return Err(CodecError::Corrupt("payload dims disagree with container"));
         }
@@ -365,17 +337,75 @@ mod tests {
         ));
     }
 
+    /// Decodes `bytes` as `F` through the one-shot entry and, for a
+    /// framed stream, through `decompress_stream`; both must refuse.
+    fn assert_elem_mismatch<F: PipelineElem>(r: &CodecRegistry, bytes: &[u8], what: &str) {
+        let one_shot = r.decompress::<F>(bytes);
+        assert!(
+            matches!(one_shot, Err(CodecError::Mismatch(_))),
+            "{what}: one-shot decode gave {:?}",
+            one_shot.map(|(_, d)| d)
+        );
+        if stream::is_framed(bytes) {
+            let mut sink = VecSink::<F>::new();
+            let framed = r.decompress_stream(&mut &bytes[..], &mut sink);
+            assert!(
+                matches!(framed, Err(CodecError::Mismatch(_))),
+                "{what}: stream decode gave {framed:?}"
+            );
+        }
+    }
+
+    /// Decoding as the other element type is `Mismatch` for every codec,
+    /// in both directions (f32 <-> f64) and both framings (PWU1 one-shot,
+    /// PWS1 stream). The outer header catches it first; with the header's
+    /// width byte forged to agree with the request, the codec's own
+    /// payload check must catch it instead.
     #[test]
     fn elem_width_mismatch_is_detected() {
+        use crate::stream::SliceSource;
+        // Offset of the element-width byte in both PWU1 and PWS1 headers.
+        const ELEM_BITS_AT: usize = 6;
         let r = CodecRegistry::builtin();
-        let data = [1.0f32, 2.0, 3.0];
-        let stream = r
-            .compress("sz_t", &data, Dims::d1(3), &CompressOpts::rel(1e-3))
+        let data32: Vec<f32> = (1..65).map(|i| (i as f32 * 0.1).sin() + 2.0).collect();
+        let data64: Vec<f64> = data32.iter().map(|&v| f64::from(v)).collect();
+        let dims = Dims::d1(data32.len());
+        let opts = CompressOpts::rel(1e-3);
+        for codec in r.iter() {
+            let name = codec.name();
+            let mut framed32 = Vec::new();
+            r.compress_stream(
+                name,
+                &mut SliceSource::new(&data32),
+                &mut framed32,
+                dims,
+                &opts,
+                16,
+            )
             .unwrap();
-        assert!(matches!(
-            r.decompress::<f64>(&stream),
-            Err(CodecError::Mismatch(_))
-        ));
+            let mut framed64 = Vec::new();
+            r.compress_stream(
+                name,
+                &mut SliceSource::new(&data64),
+                &mut framed64,
+                dims,
+                &opts,
+                16,
+            )
+            .unwrap();
+            let from32 = [r.compress(name, &data32, dims, &opts).unwrap(), framed32];
+            let from64 = [r.compress(name, &data64, dims, &opts).unwrap(), framed64];
+            for mut bytes in from32 {
+                assert_elem_mismatch::<f64>(&r, &bytes, &format!("{name} f32 as f64"));
+                bytes[ELEM_BITS_AT] = 64;
+                assert_elem_mismatch::<f64>(&r, &bytes, &format!("{name} f32 forged as f64"));
+            }
+            for mut bytes in from64 {
+                assert_elem_mismatch::<f32>(&r, &bytes, &format!("{name} f64 as f32"));
+                bytes[ELEM_BITS_AT] = 32;
+                assert_elem_mismatch::<f32>(&r, &bytes, &format!("{name} f64 forged as f32"));
+            }
+        }
     }
 
     #[test]

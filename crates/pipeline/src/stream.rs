@@ -39,7 +39,7 @@
 //! is zero after warm-up; codec-internal allocations are the codecs'
 //! business (see DESIGN.md §14).
 
-use crate::codec::CompressOpts;
+use crate::codec::{Codec, CompressOpts, PipelineElem};
 use pwrel_bitstream::{bytesio, varint};
 use pwrel_core::LogBase;
 use pwrel_data::{CodecError, Dims, Float};
@@ -57,11 +57,13 @@ pub const STREAM_VERSION: u8 = 2;
 /// Leading byte of every frame; a cheap desync detector.
 pub const FRAME_MARKER: u8 = 0xF7;
 
-/// Codec id recorded by the closure-based [`ChunkedCodec`] wrapper,
-/// reserved so registry decode refuses it with a usage error instead of
-/// misrouting the payloads.
+/// Codec id reserved for payloads produced outside the registry. No
+/// in-tree writer emits it any more, but it stays reserved:
+/// [`CodecRegistry::register`] refuses it, so registry decode rejects such
+/// a stream with a usage error instead of misrouting its payloads, and
+/// `pwrel info` still labels it `<external>`.
 ///
-/// [`ChunkedCodec`]: ../../pwrel_parallel/chunked/struct.ChunkedCodec.html
+/// [`CodecRegistry::register`]: crate::CodecRegistry::register
 pub const EXTERNAL_CODEC_ID: u8 = 0;
 
 /// Frames may record at most this many payload bytes per element before
@@ -679,41 +681,35 @@ impl FrameWalker {
     }
 }
 
-/// Per-chunk encode hook for [`compress_frames_with`]: chunk data plus
-/// its slab dims to the codec-native payload.
-pub type CompressChunkFn<'a, F> = &'a mut dyn FnMut(&[F], Dims) -> Result<Vec<u8>, CodecError>;
-
-/// Per-chunk decode hook for [`decompress_frames_with`]: codec-native
-/// payload to the reconstruction and its slab dims.
-pub type DecompressChunkFn<'a, F> = &'a mut dyn FnMut(&[u8]) -> Result<(Vec<F>, Dims), CodecError>;
-
-/// Compresses a chunk source into a framed stream, one frame per chunk,
-/// with `compress_chunk` producing each chunk's codec-native payload.
+/// Compresses a chunk source into a framed stream with `codec`, one
+/// frame per chunk of about `chunk_elems` elements (see [`ChunkPlan`]
+/// for the usage errors and granularity rounding). Peak memory is one
+/// chunk plus the codec's own working set — the full field is never
+/// resident.
 ///
-/// This is the sequential engine the `Codec` trait's provided streaming
-/// methods delegate to; the pipelined variant lives in `pwrel-parallel`
-/// and shares the format helpers and the [`FrameWalker`] rules.
-#[allow(clippy::too_many_arguments)] // mirrors the Codec streaming signature plus identity
-pub fn compress_frames_with<F: Float>(
-    codec_id: u8,
-    entropy_mode: u8,
-    granularity: usize,
+/// This is the sequential engine behind
+/// [`CodecRegistry::compress_stream_traced`]; the pipelined variant lives
+/// in `pwrel-parallel` and shares the format helpers and the
+/// [`FrameWalker`] rules.
+///
+/// [`CodecRegistry::compress_stream_traced`]: crate::CodecRegistry::compress_stream_traced
+pub fn compress_frames_with<F: PipelineElem>(
+    codec: &dyn Codec,
     src: &mut dyn ChunkSource<F>,
     out: &mut dyn Write,
     dims: Dims,
     opts: &CompressOpts,
     chunk_elems: usize,
-    compress_chunk: CompressChunkFn<'_, F>,
     rec: &dyn Recorder,
 ) -> Result<StreamStats, CodecError> {
-    let plan = ChunkPlan::new(dims, chunk_elems, granularity)?;
+    let plan = ChunkPlan::new(dims, chunk_elems, codec.chunk_granularity())?;
     let header = StreamHeader {
-        codec_id,
+        codec_id: codec.id(),
         elem_bits: F::BITS as u8,
         dims,
         bound: opts.bound,
         base: opts.base,
-        entropy_mode,
+        entropy_mode: codec.entropy_mode(),
         n_chunks: plan.n_chunks() as u64,
     };
     let mut head = Vec::with_capacity(48);
@@ -737,7 +733,7 @@ pub fn compress_frames_with<F: Float>(
                 "chunk source returned the wrong length",
             ));
         }
-        let payload = compress_chunk(&buf, plan.chunk_dims(i))?;
+        let payload = codec.compress(F::erase(&buf), plan.chunk_dims(i), opts, rec)?;
         arena.put(buf);
         head.clear();
         encode_frame_header(
@@ -764,15 +760,17 @@ pub fn compress_frames_with<F: Float>(
 }
 
 /// Decompresses the frames following an already-decoded stream header
-/// into `sink`, with `decompress_chunk` decoding each payload.
+/// (see [`decode_stream_header`]) into `sink`, chunk by chunk, with
+/// `codec` decoding each payload.
 ///
-/// The reader is consumed exactly through the final frame (no
-/// read-ahead), so framed streams embed cleanly in larger byte streams.
-pub fn decompress_frames_with<F: Float>(
+/// The reader must be positioned at the first frame and is consumed
+/// exactly through the final frame (no read-ahead), so framed streams
+/// embed cleanly in larger byte streams.
+pub fn decompress_frames_with<F: PipelineElem>(
+    codec: &dyn Codec,
     header: &StreamHeader,
     input: &mut dyn Read,
     sink: &mut dyn ChunkSink<F>,
-    decompress_chunk: DecompressChunkFn<'_, F>,
     rec: &dyn Recorder,
 ) -> Result<StreamStats, CodecError> {
     if header.elem_bits as u32 != F::BITS {
@@ -795,7 +793,8 @@ pub fn decompress_frames_with<F: Float>(
         let mut payload = arena.take(len);
         payload.resize(len, 0);
         input.read_exact(&mut payload).map_err(read_failed)?;
-        let (data, d) = decompress_chunk(&payload)?;
+        let (data, d) = codec.decompress(&payload, F::ELEM, rec)?;
+        let data = F::unerase(data)?;
         arena.put(payload);
         if d != chunk_dims || data.len() != chunk_dims.len() {
             return Err(CodecError::Corrupt("chunk payload shape mismatch"));

@@ -32,7 +32,10 @@
 //! lazily builds its own [`pwrel_parallel::WorkerPool`]-backed
 //! [`pwrel_parallel::ChunkedCodec`]; pools are per-connection because
 //! the pool's submit side is exclusive — sharing one pool would
-//! serialize every request in the process.
+//! serialize every request in the process. With `workers == 1` a request
+//! runs the registry's sequential engine on the connection thread. Both
+//! engines frame the same per-chunk `Codec::compress`/`decompress` calls,
+//! so the response bytes do not depend on the worker count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

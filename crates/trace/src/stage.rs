@@ -41,9 +41,6 @@ pub const PLANE_CODE: &str = "plane_code";
 /// ISABELA): the whole native encode/decode.
 pub const ENCODE: &str = "encode";
 
-/// Chunked-container slab fan-out (compress or decompress of all slabs).
-pub const CHUNKS: &str = "chunks";
-
 /// Framed-stream root span opened around a whole `compress_stream` run.
 pub const STREAM_COMPRESS: &str = "stream_compress";
 /// Framed-stream root span opened around a whole `decompress_stream` run.
@@ -82,7 +79,8 @@ pub const C_ENTROPY_INTERLEAVED: &str = "entropy_interleaved";
 pub const C_ENTROPY_SUBSTREAMS: &str = "entropy_substreams";
 
 /// Observation: per-sub-stream payload bytes in an interleaved entropy
-/// buffer — the balance across lanes bounds the pooled-decode speedup.
+/// buffer — the balance across lanes bounds what a lane-parallel decode
+/// could gain.
 pub const O_ENTROPY_LANE_BYTES: &str = "entropy_lane_bytes";
 
 /// Observation: SZ outlier rate (outliers / values) per compress.

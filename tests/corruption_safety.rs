@@ -499,7 +499,12 @@ mod framed {
         }
         let chunked = ChunkedCodec::new(WorkerPool::new(2), CHUNK_ELEMS);
         let mut sink = VecSink::<f32>::new();
-        match chunked.decompress_stream::<f32>(global(), &mut &bytes[..], &mut sink) {
+        match chunked.decompress_stream_traced::<f32>(
+            global(),
+            &mut &bytes[..],
+            &mut sink,
+            pwrel_trace::noop(),
+        ) {
             Err(CodecError::Corrupt(_)) => {}
             other => panic!("{what}: pipelined decode gave {other:?}"),
         }
@@ -521,7 +526,12 @@ mod framed {
         let chunked = ChunkedCodec::new(WorkerPool::new(2), CHUNK_ELEMS);
         let mut par = VecSink::<f32>::new();
         chunked
-            .decompress_stream::<f32>(global(), &mut &stream[..], &mut par)
+            .decompress_stream_traced::<f32>(
+                global(),
+                &mut &stream[..],
+                &mut par,
+                pwrel_trace::noop(),
+            )
             .unwrap();
         let (seq, par) = (seq.into_inner(), par.into_inner());
         assert_eq!(seq, par);
@@ -652,7 +662,7 @@ mod framed {
 
 /// One-shot (`PWU1` unified container) forgeries of the interleaved
 /// Huffman descriptor, plus the worker-count determinism contract of the
-/// pooled sub-stream decode.
+/// pipelined engine on interleaved payloads.
 mod interleaved {
     use super::*;
     use pwrel::data::CodecError;
@@ -685,12 +695,10 @@ mod interleaved {
         }
     }
 
-    /// The pooled sub-stream decode fan-out is an execution detail:
-    /// compressing and decompressing through 1, 2, and 4 workers must
-    /// produce byte-identical streams and reconstructions identical to
-    /// the sequential engine. Chunks of 4096 elements put every frame
-    /// over the pooled-decode threshold, so the parallel lane path is
-    /// actually exercised.
+    /// The worker count is an execution detail: compressing and
+    /// decompressing through 1, 2, and 4 workers must produce
+    /// byte-identical streams and reconstructions identical to the
+    /// sequential engine.
     #[test]
     fn worker_count_never_changes_bytes() {
         let dims = Dims::d2(64, 256);
@@ -715,12 +723,25 @@ mod interleaved {
             let mut out = Vec::new();
             let mut src = SliceSource::new(&data);
             codec
-                .compress_stream::<f32>(global(), "sz_t", &mut src, &mut out, dims, &opts)
+                .compress_stream_traced::<f32>(
+                    global(),
+                    "sz_t",
+                    &mut src,
+                    &mut out,
+                    dims,
+                    &opts,
+                    pwrel_trace::noop(),
+                )
                 .unwrap();
             assert_eq!(out, seq_out, "{workers} workers changed the stream bytes");
             let mut sink = VecSink::<f32>::new();
             codec
-                .decompress_stream::<f32>(global(), &mut &out[..], &mut sink)
+                .decompress_stream_traced::<f32>(
+                    global(),
+                    &mut &out[..],
+                    &mut sink,
+                    pwrel_trace::noop(),
+                )
                 .unwrap();
             assert_eq!(
                 sink.into_inner(),
@@ -885,6 +906,6 @@ proptest! {
         let _ = global().decompress_stream::<f32>(&mut &stream[..], &mut sink);
         let chunked = ChunkedCodec::new(WorkerPool::new(2), 4 * 16);
         let mut sink = VecSink::<f32>::new();
-        let _ = chunked.decompress_stream::<f32>(global(), &mut &stream[..], &mut sink);
+        let _ = chunked.decompress_stream_traced::<f32>(global(), &mut &stream[..], &mut sink, pwrel_trace::noop());
     }
 }

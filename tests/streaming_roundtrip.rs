@@ -82,7 +82,15 @@ fn check_codec<F: PipelineElem>(
     let mut src = SliceSource::new(data);
     let mut par = Vec::new();
     chunked
-        .compress_stream::<F>(global(), name, &mut src, &mut par, dims, &opts)
+        .compress_stream_traced::<F>(
+            global(),
+            name,
+            &mut src,
+            &mut par,
+            dims,
+            &opts,
+            pwrel_trace::noop(),
+        )
         .unwrap();
     assert_eq!(seq, par, "{name}: pipelined stream bytes diverge");
 
@@ -91,7 +99,7 @@ fn check_codec<F: PipelineElem>(
     let dec_seq = decode_seq::<F>(&seq);
     let mut sink = VecSink::new();
     chunked
-        .decompress_stream::<F>(global(), &mut &seq[..], &mut sink)
+        .decompress_stream_traced::<F>(global(), &mut &seq[..], &mut sink, pwrel_trace::noop())
         .unwrap();
     let dec_par = sink.into_inner();
     let (dec_oneshot, d) = global().decompress::<F>(&seq).unwrap();
